@@ -1,14 +1,14 @@
 """Benchmarks of the adversary subsystem and its no-adversary overhead gate.
 
-The fault-injection hooks (PR: adversary subsystem) touch the kernel's three
-hottest paths: the run loop (one ``is None`` check per event), message sends
-(one branch) and delivery/resume handling (one ``paused`` attribute check).
-The contract is that a kernel with *no* adversary installed regresses less
-than 2% against the pre-hook kernel.  Since the pre-hook code no longer
-exists, the gate reconstructs it: pre-hook versions of ``run``, ``_do_send``,
-``_handle_delivery`` and ``_handle_resume`` (verbatim copies of the current
-flat-tuple hot path minus the adversary/paused branches) are monkeypatched
-onto the kernel class and timed against the real ones on the same workload.
+The fault-injection hooks touch the kernel's hottest paths: the run loop
+(one ``is None`` check per event, for the adversary and for the schedule
+controller), message sends (one branch) and delivery/step handling (one
+``paused`` attribute check).  The contract is that a kernel with *no*
+adversary installed regresses less than 2% against a kernel without the
+hooks.  That baseline is derived from the live loop, not kept as a copy:
+``benchmarks.dormant.ADVERSARY_FOLDS`` folds each hook condition of
+``SimulationKernel.run_batch`` to its dormant value, and the folded loop is
+timed against the real one on the same workload.
 
 Like every timing gate in this repo, the hard assert is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``) with
@@ -17,17 +17,14 @@ at least 4 usable CPUs; plain CI executions only smoke the code paths.
 
 import statistics
 import time
-from heapq import heappop, heappush
 
 import pytest
 
+from benchmarks.dormant import ADVERSARY_FOLDS, patch_dormant
 from repro.adversary import build_scenario, scenario_names
 from repro.cluster.topology import ClusterTopology
 from repro.harness.runner import ExperimentConfig, run_consensus
-from repro.sim.context import RoundLimitExceeded, SendEffect, WaitEffect
-from repro.sim.events import EventKind, describe_entry
-from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
-from repro.sim.process import ProcessState
+from repro.sim.kernel import SimConfig
 
 TOPOLOGY = ClusterTopology.figure1_right()
 #: Timing-gate knobs: paired interleaved rounds of several runs each, best
@@ -36,219 +33,7 @@ ROUNDS = 9
 RUNS_PER_ROUND = 4
 OVERHEAD_LIMIT = 1.02
 
-_RESUME = int(EventKind.STEP_RESUME)
-_DELIVERY = int(EventKind.MESSAGE_DELIVERY)
 
-
-# --------------------------------------------------------------- pre-hook kernel
-def _prehook_run(self):
-    """The mega-inlined event loop exactly as it would be without the hooks.
-
-    A verbatim copy of ``SimulationKernel.run`` minus the adversary
-    consultation block and the ``paused`` branches (which exist only for the
-    adversary's pause/recover faults).  Must be kept in sync with the real
-    loop: ``test_prehook_reconstruction_is_behaviourally_identical`` below
-    and the overhead gate are only meaningful while the two differ by
-    exactly those branches.
-    """
-    if not self._processes:
-        raise RuntimeError("no processes registered")
-    queue = self._queue
-    trace = self.trace
-    trace_enabled = trace.enabled
-    handlers = self._handlers
-    processes = self._processes
-    if set(processes) == set(range(len(processes))):
-        processes = [processes[index] for index in range(len(processes))]
-    network = self._network
-    net_stats = network.stats if network is not None else None
-    sched_random = self._sched_random
-    effect_handlers = self._effect_handlers
-    config = self.config
-    max_time = config.max_time
-    local_step_delay = config.local_step_delay
-    jitter = config.scheduling_jitter
-    ready = ProcessState.READY
-    blocked = ProcessState.BLOCKED
-    crashed = ProcessState.CRASHED
-    processed = 0
-    try:
-        while queue:
-            time, sequence, kind, pid, payload = heappop(queue)
-            if time > max_time:
-                self.now = max_time
-                self.events_processed += processed
-                processed = 0
-                return self._result(RunStatus.TIMEOUT)
-            if time > self.now:
-                self.now = time
-            processed += 1
-            if trace_enabled:
-                trace.record(self.now, "event", pid, describe_entry(kind, pid, payload))
-            if kind == _DELIVERY:
-                proc = processes[pid]
-                state = proc.state
-                if state is crashed:
-                    self.dropped_deliveries += 1
-                    continue
-                proc.mailbox.append(payload)
-                if net_stats is not None:
-                    net_stats.messages_delivered += 1
-                    net_stats.delivered_to_process[pid] += 1
-                if state is blocked:
-                    result = proc.wait_predicate(proc.mailbox)
-                    if result is not None:
-                        proc.wait_predicate = None
-                        proc.state = ready
-                        if jitter > 0:
-                            time = self.now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = self.now + local_step_delay
-                        self._sequence += 1
-                        heappush(queue, (time, self._sequence, _RESUME, pid, result))
-                continue
-            if kind == _RESUME:
-                proc = processes[pid]
-                state = proc.state
-                if state is not ready and state is not blocked:
-                    continue
-                proc.stats.steps += 1
-                try:
-                    effect = proc.generator.send(payload)
-                except StopIteration as stop:
-                    proc.decision = stop.value
-                    proc.decision_time = self.now
-                    self._settle(
-                        proc,
-                        ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
-                    )
-                    if stop.value is None:
-                        proc.halt_reason = "returned None"
-                    if trace_enabled:
-                        trace.record(self.now, "decide", pid, repr(stop.value))
-                    if self._live == 0:
-                        break
-                    continue
-                except RoundLimitExceeded as exceeded:
-                    self._settle(proc, ProcessState.HALTED)
-                    proc.halt_reason = str(exceeded)
-                    if trace_enabled:
-                        trace.record(self.now, "halt", pid, proc.halt_reason)
-                    if self._live == 0:
-                        break
-                    continue
-                cls = type(effect)
-                if cls is SendEffect:
-                    if network is None:
-                        raise RuntimeError("no network attached; cannot handle SendEffect")
-                    dest = effect.dest
-                    now = self.now
-                    message, delay = network.transmit(pid, dest, effect.payload, now)
-                    if trace_enabled:
-                        trace.record(now, "send", pid, f"to={dest} {effect.payload!r}")
-                    sequence = self._sequence + 2
-                    self._sequence = sequence
-                    heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                    if jitter > 0:
-                        time = now + local_step_delay + sched_random() * jitter
-                    else:
-                        time = now + local_step_delay
-                    heappush(queue, (time, sequence, _RESUME, pid, None))
-                elif cls is WaitEffect:
-                    result = effect.predicate(proc.mailbox)
-                    if result is not None:
-                        if jitter > 0:
-                            time = self.now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = self.now + local_step_delay
-                        self._sequence += 1
-                        heappush(queue, (time, self._sequence, _RESUME, pid, result))
-                    else:
-                        proc.state = blocked
-                        proc.wait_predicate = effect.predicate
-                        if trace_enabled:
-                            trace.record(self.now, "block", pid, "waiting on messages")
-                else:
-                    handler = effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-                    if handler is None:
-                        raise TypeError(
-                            f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                        )
-                    handler(proc, effect)
-                    if self._live == 0:
-                        break
-                continue
-            handlers[kind](pid, payload)
-            if self._live == 0:
-                break
-    finally:
-        self.events_processed += processed
-    return self._result(self._final_status())
-
-
-def _prehook_do_send(self, proc, effect):
-    """The table-path message send without the adversary branch."""
-    network = self._network
-    if network is None:
-        raise RuntimeError("no network attached; cannot handle SendEffect")
-    pid = proc.pid
-    dest = effect.dest
-    now = self.now
-    message, delay = network.transmit(pid, dest, effect.payload, now)
-    if self.trace.enabled:
-        self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}")
-    self._sequence += 1
-    heappush(self._queue, (now + delay, self._sequence, _DELIVERY, dest, message))
-    config = self.config
-    jitter = config.scheduling_jitter
-    if jitter > 0:
-        time = self.now + config.local_step_delay + self._sched_random() * jitter
-    else:
-        time = self.now + config.local_step_delay
-    self._sequence += 1
-    heappush(self._queue, (time, self._sequence, _RESUME, pid, None))
-
-
-def _prehook_handle_resume(self, pid, payload):
-    """The table-path step resume without the paused check."""
-    proc = self._processes[pid]
-    state = proc.state
-    if state is not ProcessState.READY and state is not ProcessState.BLOCKED:
-        return
-    self._advance(proc, payload)
-
-
-def _prehook_handle_delivery(self, pid, payload):
-    """The table-path message delivery without the paused check."""
-    proc = self._processes[pid]
-    if proc.state is ProcessState.CRASHED:
-        self.dropped_deliveries += 1
-        return
-    proc.mailbox.append(payload)
-    network = self._network
-    if network is not None:
-        stats = network.stats
-        stats.messages_delivered += 1
-        stats.delivered_to_process[pid] += 1
-    if proc.state is ProcessState.BLOCKED:
-        result = proc.wait_predicate(proc.mailbox)
-        if result is not None:
-            proc.wait_predicate = None
-            proc.state = ProcessState.READY
-            self._resume_later(pid, result, self.config.local_step_delay)
-
-
-_PREHOOK_PATCHES = {
-    "run": _prehook_run,
-    "_do_send": _prehook_do_send,
-    "_handle_resume": _prehook_handle_resume,
-    "_handle_delivery": _prehook_handle_delivery,
-}
-
-
-# The per-instance handler tables are built in ``__init__`` from the current
-# class attributes, so patching the class before instantiating kernels (which
-# ``_workload`` does on every call) re-binds the dispatch tables too.
 def _workload():
     """One deterministic consensus run dominated by kernel event handling."""
     config = ExperimentConfig(
@@ -269,7 +54,7 @@ def _time_workload():
 # -------------------------------------------------------------------- the gate
 @pytest.mark.timing
 def test_no_adversary_hot_path_overhead_under_2_percent(strict_timing):
-    """Hooked kernel vs reconstructed pre-hook kernel on the same workload.
+    """Hooked kernel vs the hook-folded kernel on the same workload.
 
     Rounds are interleaved (hooked, stripped, hooked, ...) so slow drifts of
     the host hit both variants equally; the best round of each side is
@@ -281,8 +66,7 @@ def test_no_adversary_hot_path_overhead_under_2_percent(strict_timing):
     for _ in range(ROUNDS if strict_timing else 1):
         hooked_times.append(_time_workload())
         with pytest.MonkeyPatch.context() as patcher:
-            for name, fn in _PREHOOK_PATCHES.items():
-                patcher.setattr(SimulationKernel, name, fn)
+            patch_dormant(patcher, ADVERSARY_FOLDS)
             stripped_times.append(_time_workload())
 
     if not strict_timing:
@@ -293,18 +77,17 @@ def test_no_adversary_hot_path_overhead_under_2_percent(strict_timing):
     hooked, stripped = min(hooked_times), min(stripped_times)
     overhead = hooked / stripped
     assert overhead < OVERHEAD_LIMIT, (
-        f"no-adversary kernel hot path regressed {overhead:.4f}x vs the pre-hook "
+        f"no-adversary kernel hot path regressed {overhead:.4f}x vs the hook-folded "
         f"kernel (limit {OVERHEAD_LIMIT}x): hooked best {hooked:.4f}s over "
         f"{statistics.median(hooked_times):.4f}s median, stripped best {stripped:.4f}s"
     )
 
 
 def test_prehook_reconstruction_is_behaviourally_identical():
-    """The stripped kernel must produce the same runs, or the gate is fiction."""
+    """The folded kernel must produce the same runs, or the gate is fiction."""
     hooked = _workload()
     with pytest.MonkeyPatch.context() as patcher:
-        for name, fn in _PREHOOK_PATCHES.items():
-            patcher.setattr(SimulationKernel, name, fn)
+        patch_dormant(patcher, ADVERSARY_FOLDS)
         stripped = _workload()
     assert hooked.sim_result.decisions == stripped.sim_result.decisions
     assert hooked.sim_result.end_time == stripped.sim_result.end_time

@@ -10,11 +10,12 @@ flood is the whole dormant surface.
 
 The contract mirrors the adversary-hook gate
 (``benchmarks/test_bench_adversary.py``): a kernel with tracing *off*
-and no sink must regress less than 2% against the pre-observability
-code.  Since that code no longer exists, the gate reconstructs it --
-verbatim copies of ``_result`` and ``mark_round`` minus the obs
-branches, and a bare no-op where ``mark_phase`` did not yet exist -- and
-times both variants on a marker-annotated flood at n=64.
+and no sink must regress less than 2% against code without those
+branches.  The baseline is derived from the live methods, not kept as a
+copy: ``benchmarks.dormant.OBS_FOLDS`` folds the sink check of ``_result``
+and the ``kernel.trace.enabled`` checks of ``mark_round``/``mark_phase``
+to their dormant values (``mark_phase`` folds to a bare no-op), and both
+variants are timed on a marker-annotated flood at n=64.
 
 Like every timing gate in this repo, the hard assert is live only in
 dedicated benchmark runs (``make bench``, i.e. ``--benchmark-only``)
@@ -27,10 +28,10 @@ import time
 
 import pytest
 
+from benchmarks.dormant import OBS_FOLDS, patch_dormant
 from benchmarks.test_bench_micro import FLOOD_N, FLOOD_ROUNDS
 from repro.core.base import PhaseMessage
 from repro.network.transport import Network
-from repro.sim.context import ProcessContext, RoundLimitExceeded
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.rng import RandomSource
 
@@ -38,73 +39,6 @@ from repro.sim.rng import RandomSource
 ROUNDS = 9
 RUNS_PER_ROUND = 2
 OVERHEAD_LIMIT = 1.02
-
-
-# ------------------------------------------------------- pre-obs reconstruction
-def _preobs_result(self, status):
-    """``SimulationKernel._result`` exactly as it was without ``trace_sink``.
-
-    A verbatim copy minus the sink dump check.  Must be kept in sync with
-    the real method: ``test_preobs_reconstruction_is_behaviourally_identical``
-    below and the overhead gate are only meaningful while the two differ by
-    exactly that block.
-    """
-    from repro.sim.kernel import SimulationResult
-
-    decisions = {
-        pid: proc.decision
-        for pid, proc in self._processes.items()
-        if proc.has_decided
-    }
-    decision_times = {
-        pid: proc.decision_time
-        for pid, proc in self._processes.items()
-        if proc.has_decided and proc.decision_time is not None
-    }
-    correct = {pid for pid, proc in self._processes.items() if proc.is_correct}
-    crashed = {pid for pid, proc in self._processes.items() if not proc.is_correct}
-    non_terminated = {pid for pid in correct if pid not in decisions}
-    rounds = {pid: proc.context.stats.rounds for pid, proc in self._processes.items()}
-    stats = {pid: proc.context.stats for pid, proc in self._processes.items()}
-    return SimulationResult(
-        status=status,
-        decisions=decisions,
-        decision_times=decision_times,
-        correct=correct,
-        crashed=crashed,
-        non_terminated=non_terminated,
-        rounds=rounds,
-        end_time=self.now,
-        events_processed=self.events_processed,
-        process_stats=stats,
-    )
-
-
-def _preobs_mark_round(self, round_number):
-    """``ProcessContext.mark_round`` without the span-marker branch."""
-    self.stats.rounds = max(self.stats.rounds, round_number)
-    kernel = self._kernel
-    limit = kernel.config.max_rounds
-    if limit is not None and round_number > limit:
-        raise RoundLimitExceeded(self.pid, round_number, limit)
-
-
-def _preobs_mark_phase(self, name):
-    """Pre-obs there was no ``mark_phase``; absence costs one bare call."""
-
-
-_PREOBS_KERNEL_PATCHES = {"_result": _preobs_result}
-_PREOBS_CONTEXT_PATCHES = {
-    "mark_round": _preobs_mark_round,
-    "mark_phase": _preobs_mark_phase,
-}
-
-
-def _patch_preobs(patcher):
-    for name, fn in _PREOBS_KERNEL_PATCHES.items():
-        patcher.setattr(SimulationKernel, name, fn)
-    for name, fn in _PREOBS_CONTEXT_PATCHES.items():
-        patcher.setattr(ProcessContext, name, fn)
 
 
 # ------------------------------------------------------------------- workload
@@ -162,7 +96,7 @@ def _time_floods():
 # -------------------------------------------------------------------- the gate
 @pytest.mark.timing
 def test_dormant_observability_overhead_under_2_percent(strict_timing):
-    """Current kernel vs reconstructed pre-obs kernel on the marker flood.
+    """Current kernel vs the obs-folded kernel on the marker flood.
 
     Rounds are interleaved (current, stripped, current, ...) so slow host
     drifts hit both variants equally; the best round of each side is
@@ -174,7 +108,7 @@ def test_dormant_observability_overhead_under_2_percent(strict_timing):
     for _ in range(ROUNDS if strict_timing else 1):
         current_times.append(_time_floods())
         with pytest.MonkeyPatch.context() as patcher:
-            _patch_preobs(patcher)
+            patch_dormant(patcher, OBS_FOLDS)
             stripped_times.append(_time_floods())
 
     if not strict_timing:
@@ -185,17 +119,17 @@ def test_dormant_observability_overhead_under_2_percent(strict_timing):
     current, stripped = min(current_times), min(stripped_times)
     overhead = current / stripped
     assert overhead < OVERHEAD_LIMIT, (
-        f"dormant observability overhead {overhead:.4f}x vs the pre-obs kernel "
+        f"dormant observability overhead {overhead:.4f}x vs the obs-folded kernel "
         f"(limit {OVERHEAD_LIMIT}x): current best {current:.4f}s over "
         f"{statistics.median(current_times):.4f}s median, stripped best {stripped:.4f}s"
     )
 
 
 def test_preobs_reconstruction_is_behaviourally_identical():
-    """The stripped kernel must produce the same runs, or the gate is fiction."""
+    """The folded kernel must produce the same runs, or the gate is fiction."""
     current, _ = _run_marker_flood()
     with pytest.MonkeyPatch.context() as patcher:
-        _patch_preobs(patcher)
+        patch_dormant(patcher, OBS_FOLDS)
         stripped, _ = _run_marker_flood()
     assert current.decisions == stripped.decisions
     assert current.end_time == stripped.end_time

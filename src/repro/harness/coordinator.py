@@ -932,12 +932,16 @@ class WorkStealingScheduler:
         return False
 
     def _outstanding(self) -> List[int]:
-        """Points neither settled by us nor checkpointed by anyone."""
+        """Points not yet settled, settling any checkpointed since the last pass.
+
+        Goes through :meth:`_settled` so a checkpoint landing after the last
+        claim pass is recorded as already-done: every point ends in exactly
+        one outcome, and in the worker manifest.
+        """
         return [
             point_index
             for point_index in range(len(self.plan.points))
-            if point_index not in self._recorded
-            and not point_checkpoint_path(self.out, point_index).exists()
+            if not self._settled(point_index)
         ]
 
     def _task(self, point_index: int, lease: Lease) -> PointTask:

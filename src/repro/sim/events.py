@@ -81,11 +81,11 @@ class ProcessRecover(Event):
 
 
 class EventKind(enum.IntEnum):
-    """The dense dispatch index of each kernel event type.
+    """The integer tag of each kernel event type in a flat queue entry.
 
-    The kernel keeps one handler per kind in a plain list, so dispatching an
-    event is ``handlers[kind](pid, payload)`` -- one C-level list index
-    instead of a type-keyed dict lookup or an isinstance chain.
+    The kernel's run loop dispatches on it with plain integer comparisons
+    (deliveries first, then resumes), so the hot kinds never pay for a
+    type-keyed lookup or an isinstance chain.
     """
 
     PROCESS_START = 0
@@ -95,9 +95,6 @@ class EventKind(enum.IntEnum):
     PROCESS_PAUSE = 4
     PROCESS_RECOVER = 5
 
-
-#: How many entries a kind-indexed handler table needs.
-N_EVENT_KINDS = len(EventKind)
 
 #: Lower-case kind names indexable by a flat entry's ``kind`` int; used for
 #: the structured ``data`` of ``event`` trace records without re-entering

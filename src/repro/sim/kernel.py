@@ -7,11 +7,13 @@ order of messages are controlled entirely by the (seeded) event schedule, so
 the algorithms can assume nothing beyond what the paper's model grants them.
 
 The hot path is deliberately flat (see ``docs/performance.md``): the queue
-holds ``(time, sequence, kind, pid, payload)`` tuples, dispatch is a direct
-list index on :class:`~repro.sim.events.EventKind`, quiescence is a live
-counter instead of a per-event scan, and trace strings are only built when
-tracing is enabled.  The public :class:`~repro.sim.events.Event` dataclasses
-appear only at the boundary (adversary consultation, traces, backlogs).
+holds ``(time, sequence, kind, pid, payload)`` tuples, one loop
+(:meth:`SimulationKernel.run_batch`) dispatches on the integer
+:class:`~repro.sim.events.EventKind` and runs deliveries, steps, sends and
+waits inline, quiescence is a live counter instead of a per-event scan, and
+trace strings are only built when tracing is enabled.  The public
+:class:`~repro.sim.events.Event` dataclasses appear only at the boundary
+(adversary consultation, traces, backlogs).
 
 An explicit fault-injection adversary (:mod:`repro.adversary`) can sharpen
 the schedule further: when installed, it is consulted at message-send time
@@ -24,7 +26,6 @@ hooks cost one ``is None`` check per event and nothing else.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from heapq import heappop, heappush
 from dataclasses import dataclass
@@ -175,23 +176,11 @@ class SimulationKernel:
         self.dropped_deliveries = 0
         self._sched_rng = self.rng.stream("kernel", "jitter")
         self._sched_random = self._sched_rng.random
-        # Kind-indexed dispatch: the run loop indexes this list directly with
-        # the entry's EventKind.  Built from the *current* class attributes at
-        # construction time, so tests may patch handler methods on the class
-        # before instantiating a kernel.
-        self._handlers: List[Callable[[int, Any], None]] = [
-            self._handle_start,
-            self._handle_resume,
-            self._handle_delivery,
-            self._handle_crash,
-            self._handle_pause,
-            self._handle_recover,
-        ]
-        self._effect_handlers: Dict[type, Callable[[SimProcess, Any], None]] = {
-            SendEffect: self._do_send,
-            SharedMemEffect: self._do_sm_op,
-            WaitEffect: self._do_wait,
-            LocalEffect: self._do_local,
+        #: The effect type each yielded effect class dispatches as.  Seeded
+        #: with the known types; a subclass is resolved to its base by
+        #: :meth:`_effect_base` on first sight, then cached here.
+        self._effect_bases: Dict[type, type] = {
+            cls: cls for cls in (SendEffect, WaitEffect, SharedMemEffect, LocalEffect)
         }
 
     # ----------------------------------------------------------------- setup
@@ -328,11 +317,6 @@ class SimulationKernel:
             heappush(queue, entry)
         return chosen
 
-    def _jitter(self) -> float:
-        if self.config.scheduling_jitter <= 0:
-            return 0.0
-        return self._sched_random() * self.config.scheduling_jitter
-
     def _resume_later(self, pid: int, value: Any, delay: float) -> None:
         jitter = self.config.scheduling_jitter
         if jitter > 0:
@@ -368,14 +352,14 @@ class SimulationKernel:
         (adversary-postponed) events do not count against the budget; only
         dispatched events do, matching :attr:`events_processed`.
 
-        The two majority event kinds -- message deliveries and step resumes
-        (including the resume's send/wait effect handling) -- are inlined
-        into the loop body so the whole hot chain runs on loop-hoisted
-        locals with no intervening call frames.  The ``_handle_*`` methods
-        remain as the dispatch seam for the remaining kinds and for any
-        entries handled through the table.  Everything here must stay
-        bit-identical to the out-of-line handlers (the golden tests compare
-        full e1-e9 summaries against a pre-refactor fixture).
+        This loop is the only implementation of message delivery, process
+        start/resume and the send/wait effects: they run inline on
+        loop-hoisted locals with no intervening call frames.  Only the rare
+        kinds (crash, pause, recover) and the rare effects (shared-memory
+        operations, local steps) go through a method call.  The golden tests
+        compare full e1-e11 summaries against a pre-refactor fixture, and the
+        dormant-hook gates in ``benchmarks/`` derive their hook-free baselines
+        from this very source by folding the hook conditions away.
         """
         if max_events == 0 or max_events < -1:
             raise ValueError(f"max_events must be positive or -1, got {max_events}")
@@ -389,17 +373,21 @@ class SimulationKernel:
         trace_enabled = trace.enabled
         adversary = self._adversary
         controller = self._schedule_controller
-        handlers = self._handlers
+        handlers = {
+            _CRASH: self._handle_crash,
+            _PAUSE: self._handle_pause,
+            _RECOVER: self._handle_recover,
+        }
         processes: Any = self._processes
         if set(processes) == set(range(len(processes))):
             # Dense pid range (the common case): a list subscript beats a
-            # dict lookup on the two inlined majority paths below.  Sparse
-            # pid sets keep the dict.
+            # dict lookup on the inlined majority paths below.  Sparse pid
+            # sets keep the dict.
             processes = [processes[index] for index in range(len(processes))]
         network = self._network
         net_stats = network.stats if network is not None else None
         sched_random = self._sched_random
-        effect_handlers = self._effect_handlers
+        effect_bases = self._effect_bases
         config = self.config
         max_time = config.max_time
         local_step_delay = config.local_step_delay
@@ -467,9 +455,9 @@ class SimulationKernel:
                         {"event": EVENT_KIND_NAMES[kind]},
                     )
                 if kind == _DELIVERY:
-                    # Inlined _handle_delivery: deliveries are the majority
-                    # event kind, and they can never settle a process, so the
-                    # quiescence re-check below is skipped too.
+                    # Deliveries are the majority event kind, and they can
+                    # never settle a process, so the quiescence check is
+                    # skipped too.
                     proc = processes[pid]
                     state = proc.state
                     if state is crashed:
@@ -480,6 +468,8 @@ class SimulationKernel:
                         continue
                     proc.mailbox.append(payload)
                     if net_stats is not None:
+                        # Inlined Network.record_delivery (the method remains
+                        # the public seam); a delivery's pid is its dest.
                         net_stats.messages_delivered += 1
                         net_stats.delivered_to_process[pid] += 1
                     if state is blocked:
@@ -495,68 +485,71 @@ class SimulationKernel:
                             heappush(queue, (time, self._sequence, _RESUME, pid, result))
                     continue
                 if kind == _RESUME:
-                    # Inlined _handle_resume, including the _advance body and
-                    # the send/wait effect handlers.
                     proc = processes[pid]
                     state = proc.state
+                    # Identity checks against the two non-terminal states;
+                    # READY first, the overwhelmingly common case.
                     if state is not ready and state is not blocked:
                         continue
                     if proc.paused:
                         proc.paused_backlog.append((_RESUME, pid, payload))
                         continue
-                    proc.stats.steps += 1
-                    try:
-                        effect = proc.generator.send(payload)
-                    except StopIteration as stop:
-                        proc.decision = stop.value
-                        proc.decision_time = self.now
-                        self._settle(
-                            proc,
-                            ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
-                        )
-                        if stop.value is None:
-                            proc.halt_reason = "returned None"
-                        if trace_enabled:
-                            trace.record(self.now, "decide", pid, repr(stop.value))
-                        if self._live == 0:
-                            break
+                elif kind == _START:
+                    proc = processes[pid]
+                    state = proc.state
+                    if state is not ready and state is not blocked:
                         continue
-                    except RoundLimitExceeded as exceeded:
-                        self._settle(proc, ProcessState.HALTED)
-                        proc.halt_reason = str(exceeded)
-                        if trace_enabled:
-                            trace.record(self.now, "halt", pid, proc.halt_reason)
-                        if self._live == 0:
-                            break
+                    if proc.paused:
+                        # A deferred start racing into an outage waits it out
+                        # like any other step: a down process must not
+                        # execute, let alone send.
+                        proc.paused_backlog.append((_START, pid, payload))
                         continue
-                    cls = type(effect)
-                    if cls is SendEffect:
-                        if network is None:
-                            raise RuntimeError("no network attached; cannot handle SendEffect")
-                        dest = effect.dest
-                        now = self.now
-                        message, delay = network.transmit(pid, dest, effect.payload, now)
-                        if trace_enabled:
-                            trace.record(
-                                now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
-                            )
-                        if adversary is None:
-                            # One batched sequence bump covers both pushes; the
-                            # delivery keeps the lower number, exactly as two
-                            # bumps would assign.
-                            sequence = self._sequence + 2
-                            self._sequence = sequence
-                            heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-                        else:
-                            self._adversarial_send(pid, dest, message, delay)
-                            sequence = self._sequence + 1
-                            self._sequence = sequence
-                        if jitter > 0:
-                            time = now + local_step_delay + sched_random() * jitter
-                        else:
-                            time = now + local_step_delay
-                        heappush(queue, (time, sequence, _RESUME, pid, None))
-                    elif cls is WaitEffect:
+                    proc.start()
+                else:
+                    handlers[kind](pid, payload)
+                    if self._live == 0:
+                        break
+                    continue
+                # One step of a started or resumed process.
+                proc.stats.steps += 1
+                try:
+                    effect = proc.generator.send(payload)
+                except StopIteration as stop:
+                    proc.decision = stop.value
+                    proc.decision_time = self.now
+                    self._settle(
+                        proc,
+                        ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED,
+                    )
+                    if stop.value is None:
+                        proc.halt_reason = "returned None"
+                    if trace_enabled:
+                        trace.record(self.now, "decide", pid, repr(stop.value))
+                    if self._live == 0:
+                        break
+                    continue
+                except RoundLimitExceeded as exceeded:
+                    self._settle(proc, ProcessState.HALTED)
+                    proc.halt_reason = str(exceeded)
+                    if trace_enabled:
+                        trace.record(self.now, "halt", pid, proc.halt_reason)
+                    if self._live == 0:
+                        break
+                    continue
+                cls = type(effect)
+                if cls is not SendEffect:
+                    if cls is not WaitEffect:
+                        # The rare effects, and subclasses of any known
+                        # effect, which dispatch exactly like their base.
+                        cls = effect_bases.get(cls) or self._effect_base(pid, effect)
+                        if cls is SharedMemEffect:
+                            self._do_sm_op(proc, effect)
+                            continue
+                        if cls is LocalEffect:
+                            self._do_local(proc, effect)
+                            continue
+                    if cls is WaitEffect:
                         result = effect.predicate(proc.mailbox)
                         if result is not None:
                             if jitter > 0:
@@ -570,151 +563,55 @@ class SimulationKernel:
                             proc.wait_predicate = effect.predicate
                             if trace_enabled:
                                 trace.record(self.now, "block", pid, "waiting on messages")
-                    else:
-                        handler = effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-                        if handler is None:
-                            raise TypeError(
-                                f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                            )
-                        handler(proc, effect)
-                        if self._live == 0:
-                            break
-                    continue
-                handlers[kind](pid, payload)
-                if self._live == 0:
-                    break
+                        continue
+                # A send: resume -> step -> send is the kernel's hottest chain.
+                if network is None:
+                    raise RuntimeError("no network attached; cannot handle SendEffect")
+                dest = effect.dest
+                now = self.now
+                message, delay = network.transmit(pid, dest, effect.payload, now)
+                if trace_enabled:
+                    trace.record(
+                        now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest}
+                    )
+                if adversary is None:
+                    # One batched sequence bump covers both pushes; the
+                    # delivery keeps the lower number, exactly as two bumps
+                    # would assign.
+                    sequence = self._sequence + 2
+                    self._sequence = sequence
+                    heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
+                else:
+                    self._adversarial_send(pid, dest, message, delay)
+                    sequence = self._sequence + 1
+                    self._sequence = sequence
+                if jitter > 0:
+                    time = now + local_step_delay + sched_random() * jitter
+                else:
+                    time = now + local_step_delay
+                heappush(queue, (time, sequence, _RESUME, pid, None))
         finally:
             # The counter is accumulated locally (one attribute store per
             # run, not per event) and flushed on every exit path.
             self.events_processed += processed
         return self._result(self._final_status())
 
-    def _all_settled(self) -> bool:
-        """Whether every registered process reached a terminal state."""
-        return self._live == 0
+    def _effect_base(self, pid: int, effect: Any) -> type:
+        """Resolve (and cache) the known base type of an effect subclass."""
+        bases = self._effect_bases
+        for base in type(effect).__mro__[1:]:
+            known = bases.get(base)
+            if known is not None:
+                bases[type(effect)] = known
+                return known
+        raise TypeError(f"process {pid} yielded {effect!r}, which is not a recognised effect")
 
     def _settle(self, proc: SimProcess, state: ProcessState) -> None:
         """Move ``proc`` into terminal ``state``, maintaining the live count."""
         proc.state = state
         self._live -= 1
 
-    # ---------------------------------------------------------- event handlers
-    def _handle_start(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        if proc.state is ProcessState.CRASHED:
-            return
-        if proc.paused:
-            # A deferred start racing into an outage waits it out like any
-            # other step: a down process must not execute, let alone send.
-            proc.paused_backlog.append((_START, pid, payload))
-            return
-        proc.start()
-        self._advance(proc, None)
-
-    def _handle_resume(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        state = proc.state
-        # Identity checks against the two non-terminal states; READY first
-        # because it is the overwhelmingly common case on the hot path.
-        if state is not ProcessState.READY and state is not ProcessState.BLOCKED:
-            return
-        if proc.paused:
-            proc.paused_backlog.append((_RESUME, pid, payload))
-            return
-        # The body of _advance (and the send/wait effect handlers) is inlined
-        # here: resume -> step -> send is the kernel's hottest chain, and the
-        # three call frames it would otherwise cross are pure overhead.
-        # Exact-type checks keep effect subclasses on the table path below,
-        # which matches _advance bit for bit.
-        proc.stats.steps += 1
-        try:
-            effect = proc.generator.send(payload)
-        except StopIteration as stop:
-            proc.decision = stop.value
-            proc.decision_time = self.now
-            self._settle(
-                proc, ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED
-            )
-            if stop.value is None:
-                proc.halt_reason = "returned None"
-            if self.trace.enabled:
-                self.trace.record(self.now, "decide", pid, repr(stop.value))
-            return
-        except RoundLimitExceeded as exceeded:
-            self._settle(proc, ProcessState.HALTED)
-            proc.halt_reason = str(exceeded)
-            if self.trace.enabled:
-                self.trace.record(self.now, "halt", pid, proc.halt_reason)
-            return
-        cls = type(effect)
-        if cls is SendEffect:
-            network = self._network
-            if network is None:
-                raise RuntimeError("no network attached; cannot handle SendEffect")
-            dest = effect.dest
-            now = self.now
-            message, delay = network.transmit(pid, dest, effect.payload, now)
-            trace = self.trace
-            if trace.enabled:
-                trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-            queue = self._queue
-            if self._adversary is None:
-                # One batched sequence bump covers both pushes; the delivery
-                # keeps the lower number, exactly as two bumps would assign.
-                sequence = self._sequence + 2
-                self._sequence = sequence
-                heappush(queue, (now + delay, sequence - 1, _DELIVERY, dest, message))
-            else:
-                self._adversarial_send(pid, dest, message, delay)
-                sequence = self._sequence + 1
-                self._sequence = sequence
-            config = self.config
-            jitter = config.scheduling_jitter
-            if jitter > 0:
-                time = now + config.local_step_delay + self._sched_random() * jitter
-            else:
-                time = now + config.local_step_delay
-            heappush(queue, (time, sequence, _RESUME, pid, None))
-        elif cls is WaitEffect:
-            result = effect.predicate(proc.mailbox)
-            if result is not None:
-                self._resume_later(pid, result, self.config.local_step_delay)
-            else:
-                proc.state = ProcessState.BLOCKED
-                proc.wait_predicate = effect.predicate
-                if self.trace.enabled:
-                    self.trace.record(self.now, "block", pid, "waiting on messages")
-        else:
-            handler = self._effect_handlers.get(cls) or self._resolve_effect_handler(effect)
-            if handler is None:
-                raise TypeError(
-                    f"process {pid} yielded {effect!r}, which is not a recognised effect"
-                )
-            handler(proc, effect)
-
-    def _handle_delivery(self, pid: int, payload: Any) -> None:
-        proc = self._processes[pid]
-        if proc.state is ProcessState.CRASHED:
-            self.dropped_deliveries += 1
-            return
-        if proc.paused:
-            proc.paused_backlog.append((_DELIVERY, pid, payload))
-            return
-        proc.mailbox.append(payload)
-        network = self._network
-        if network is not None:
-            # Inlined Network.record_delivery (the method remains the public
-            # seam); a delivery entry's pid is always the message's dest.
-            stats = network.stats
-            stats.messages_delivered += 1
-            stats.delivered_to_process[pid] += 1
-        if proc.state is ProcessState.BLOCKED:
-            result = proc.wait_predicate(proc.mailbox)
-            if result is not None:
-                proc.wait_predicate = None
-                proc.state = ProcessState.READY
-                self._resume_later(pid, result, self.config.local_step_delay)
-
+    # ------------------------------------------- rare event kinds and effects
     def _handle_crash(self, pid: int, payload: Any) -> None:
         proc = self._processes[pid]
         if proc.state.is_terminal():
@@ -741,9 +638,9 @@ class SimulationKernel:
         """End a transient outage: replay the backlog in its buffered order.
 
         Replayed events are re-queued at the current time (the buffered
-        order is preserved by the queue's sequence tie-break); the regular
-        handlers then apply the usual state checks, so a process that
-        crashed for good while paused still drops its backlog.
+        order is preserved by the queue's sequence tie-break); the run loop
+        then applies the usual state checks, so a process that crashed for
+        good while paused still drops its backlog.
         """
         proc = self._processes[pid]
         if not proc.paused:
@@ -760,85 +657,6 @@ class SimulationKernel:
                 f"replaying {len(backlog)} buffered event(s)",
                 {"replayed": len(backlog)},
             )
-
-    # ----------------------------------------------------------- process steps
-    def _advance(self, proc: SimProcess, value: Any) -> None:
-        proc.stats.steps += 1
-        try:
-            effect = proc.generator.send(value)
-        except StopIteration as stop:
-            proc.decision = stop.value
-            proc.decision_time = self.now
-            self._settle(
-                proc, ProcessState.DECIDED if stop.value is not None else ProcessState.HALTED
-            )
-            if stop.value is None:
-                proc.halt_reason = "returned None"
-            if self.trace.enabled:
-                self.trace.record(self.now, "decide", proc.pid, repr(stop.value))
-            return
-        except RoundLimitExceeded as exceeded:
-            self._settle(proc, ProcessState.HALTED)
-            proc.halt_reason = str(exceeded)
-            if self.trace.enabled:
-                self.trace.record(self.now, "halt", proc.pid, proc.halt_reason)
-            return
-        handler = self._effect_handlers.get(type(effect)) or self._resolve_effect_handler(effect)
-        if handler is None:
-            raise TypeError(
-                f"process {proc.pid} yielded {effect!r}, which is not a recognised effect"
-            )
-        handler(proc, effect)
-
-    def _handle_effect(self, proc: SimProcess, effect: Any) -> None:
-        """Dispatch one yielded effect (the public seam; `_advance` inlines it)."""
-        handler = self._effect_handlers.get(type(effect)) or self._resolve_effect_handler(effect)
-        if handler is None:
-            raise TypeError(
-                f"process {proc.pid} yielded {effect!r}, which is not a recognised effect"
-            )
-        handler(proc, effect)
-
-    def _resolve_effect_handler(self, effect: Any) -> Optional[Callable]:
-        """Subclasses of the known effect types dispatch like their base.
-
-        The exact-type lookup misses them, so walk the MRO once and cache the
-        match in the table -- the hot path stays a single dict hit afterwards.
-        """
-        table = self._effect_handlers
-        for base in type(effect).__mro__[1:]:
-            handler = table.get(base)
-            if handler is not None:
-                table[type(effect)] = handler
-                return handler
-        return None
-
-    def _do_send(self, proc: SimProcess, effect: SendEffect) -> None:
-        network = self._network
-        if network is None:
-            raise RuntimeError("no network attached; cannot handle SendEffect")
-        pid = proc.pid
-        dest = effect.dest
-        now = self.now
-        message, delay = network.transmit(pid, dest, effect.payload, now)
-        if self.trace.enabled:
-            self.trace.record(now, "send", pid, f"to={dest} {effect.payload!r}", {"dest": dest})
-        if self._adversary is None:
-            self._sequence += 1
-            heappush(
-                self._queue, (now + delay, self._sequence, _DELIVERY, dest, message)
-            )
-        else:
-            self._adversarial_send(pid, dest, message, delay)
-        # Inlined _resume_later (this is the hottest reschedule site).
-        config = self.config
-        jitter = config.scheduling_jitter
-        if jitter > 0:
-            time = self.now + config.local_step_delay + self._sched_random() * jitter
-        else:
-            time = self.now + config.local_step_delay
-        self._sequence += 1
-        heappush(self._queue, (time, self._sequence, _RESUME, pid, None))
 
     def _adversarial_send(self, sender: int, dest: int, message: Any, delay: float) -> None:
         """Turn one send into the adversary's delivery verdict (slow path).
@@ -891,16 +709,6 @@ class SimulationKernel:
                 {"op": op_name},
             )
         self._resume_later(proc.pid, result, self.config.sm_op_delay)
-
-    def _do_wait(self, proc: SimProcess, effect: WaitEffect) -> None:
-        result = effect.predicate(proc.mailbox)
-        if result is not None:
-            self._resume_later(proc.pid, result, self.config.local_step_delay)
-            return
-        proc.state = ProcessState.BLOCKED
-        proc.wait_predicate = effect.predicate
-        if self.trace.enabled:
-            self.trace.record(self.now, "block", proc.pid, "waiting on messages")
 
     def _do_local(self, proc: SimProcess, effect: LocalEffect) -> None:
         delay = effect.duration if effect.duration is not None else self.config.local_step_delay

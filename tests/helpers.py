@@ -84,8 +84,8 @@ def make_message(sender: int, payload: Any, dest: int = 0, time: float = 0.0, ms
 
 
 # --------------------------------------------------------------------- golden
-# Small, fast configurations of every kernel-exercising experiment (e1-e9
-# plus the empirical-delay e11), used both by
+# Small, fast configurations of every kernel-exercising experiment (e1-e11),
+# used both by
 # scripts/gen_golden_summaries.py (which froze the pre-refactor kernel's
 # summaries into tests/golden/kernel_summaries.json) and by
 # tests/test_golden_kernel.py (which asserts the current kernel still
@@ -93,7 +93,7 @@ def make_message(sender: int, payload: Any, dest: int = 0, time: float = 0.0, ms
 
 GOLDEN_SEEDS = [1000, 1001]
 
-GOLDEN_EXPERIMENTS = [f"e{i}" for i in range(1, 10)] + ["e11"]
+GOLDEN_EXPERIMENTS = [f"e{i}" for i in range(1, 12)]
 
 
 def golden_plans():
@@ -108,6 +108,7 @@ def golden_plans():
         e7_indulgence,
         e8_scalability,
         e9_adversary,
+        e10_adaptive,
         e11_resilience,
     )
 
@@ -124,6 +125,14 @@ def golden_plans():
         "e9": e9_adversary.plan(
             seeds=seeds,
             scenarios=("lossy-links", "duplication-storm", "partition-drop", "crash-recovery"),
+            intensities=(0.4,),
+            round_cap=15,
+        ),
+        # The only adversary that defers events on wait-predicate state:
+        # pins the per-event ``defer`` consultation of the kernel loop.
+        "e10": e10_adaptive.plan(
+            seeds=seeds,
+            scenarios=("delay-pivotal",),
             intensities=(0.4,),
             round_cap=15,
         ),

@@ -5,12 +5,15 @@ small e1-e9 sweep plans (``tests.helpers.golden_plans``) as produced by the
 PRE-refactor kernel -- dataclass queue entries, per-call delay sampling, no
 ``__slots__``.  This test recomputes the same runs on the current kernel and
 asserts every summary matches exactly: floats are compared through their
-``float.hex()`` serialisation, so "close" is not good enough.  (The e11
-entry was appended later, regenerated against a green current kernel, to
-pin the empirical-delay sampling path the same way.)
+``float.hex()`` serialisation, so "close" is not good enough.  (The e11 and
+e10 entries were appended later, each regenerated against a green current
+kernel with every earlier entry byte-identical, to pin the empirical-delay
+sampling path and the adaptive adversary's per-event deferrals the same
+way.)
 
-The fixture spans every kernel-exercising experiment, including the
-adversarial scenarios (e9), the empirical-delay resilience runs (e11) and
+The fixture spans every kernel-exercising experiment (e1-e11), including
+the adversarial scenarios (e9), the adaptive adversaries (e10), the
+empirical-delay resilience runs (e11) and
 the shard/steal merge inputs (per-run summaries + priorities are
 exactly what the distributed coordinator merges), so a green run here is the
 acceptance evidence that the hot-path refactor changed no observable
@@ -48,7 +51,7 @@ def test_priority_backend_matches(golden_fixture, current_summaries):
     assert current_summaries["priority_backend"] == golden_fixture["priority_backend"]
 
 
-@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
+@pytest.mark.parametrize("experiment", GOLDEN_EXPERIMENTS)
 def test_kernel_reproduces_prerefactor_summaries(golden_fixture, current_summaries, experiment):
     expected_points = golden_fixture["experiments"][experiment]
     actual_points = current_summaries["experiments"][experiment]

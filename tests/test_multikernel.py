@@ -4,7 +4,7 @@ The contract under test (see ``docs/scaling.md``): a logical run is
 **bit-identical** whether it executes serially, on a process pool, or
 interleaved with K-1 cooperative neighbours in one process, for any K and
 any interleave order.  The acceptance test sweeps *every* experiment's small
-golden plan (e1-e9) through ``exec_mode="coop"`` and compares aggregates
+golden plan (e1-e11) through ``exec_mode="coop"`` and compares aggregates
 against the process-path reference, and the K ∈ {1, 3, 7} sweeps compare raw
 ``RunSummary`` streams -- frozen dataclasses, so ``==`` is exact, and their
 float fields were built from the same draws only if determinism held.
@@ -32,7 +32,7 @@ from repro.sim.multikernel import (
     run_cooperative,
     scheduler_rng,
 )
-from tests.helpers import golden_plans
+from tests.helpers import GOLDEN_EXPERIMENTS, golden_plans
 
 TOPOLOGY = ClusterTopology.even_split(8, 2)
 
@@ -270,7 +270,7 @@ def golden_coop_aggregates():
     }
 
 
-@pytest.mark.parametrize("experiment", [f"e{i}" for i in range(1, 10)] + ["e11"])
+@pytest.mark.parametrize("experiment", GOLDEN_EXPERIMENTS)
 def test_every_experiment_plan_coop_equals_process(
     golden_reference_aggregates, golden_coop_aggregates, experiment
 ):

@@ -452,6 +452,40 @@ class TestWaitPolling:
         assert plan.points[0].label in result.already_done
         merge_stolen(tmp_path, make_plan())  # completes cleanly
 
+    def test_checkpoint_landing_before_the_outstanding_scan_is_recorded(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint that lands between the last claim pass and the
+        outstanding scan must still be settled, never silently dropped."""
+        plan = make_plan()
+        coordinator.write_plan_header(tmp_path, plan)
+        lease = try_claim(tmp_path, plan, 0, "holder", 3600.0)
+        assert lease is not None
+        real_outstanding = coordinator.WorkStealingScheduler._outstanding
+        landed = []
+
+        def land_then_scan(scheduler):
+            if not landed:
+                task = scheduler._task(0, lease)
+                summaries = coordinator.execute_point(plan, task, max_workers=1)
+                distributed._write_checkpoint(
+                    task.checkpoint, plan, coordinator._WHOLE, 0, summaries
+                )
+                landed.append(0)
+            return real_outstanding(scheduler)
+
+        monkeypatch.setattr(coordinator.WorkStealingScheduler, "_outstanding", land_then_scan)
+        result = run_work_stealing(
+            plan, tmp_path, worker="patient", max_workers=1, wait=True, poll_interval=0.05
+        )
+        assert landed == [0]
+        outcomes = result.executed + result.stolen + result.already_done + result.left_behind
+        assert sorted(outcomes) == sorted(point.label for point in plan.points)
+        assert result.already_done == [plan.points[0].label]
+        manifest = json.loads(result.manifest.read_text())
+        assert manifest["points"]["0"]["outcome"] == "already-done"
+        merge_stolen(tmp_path, make_plan())  # completes cleanly
+
     def test_poll_interval_requires_wait_mode_in_cli(self, capsys):
         from repro.cli import main
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.delays import ConstantDelay
 from repro.network.transport import Network
-from repro.sim.context import LocalEffect
+from repro.sim.context import LocalEffect, SendEffect, SharedMemEffect, WaitEffect
 from repro.sim.events import ScheduledEvent, StepResume, describe
 from repro.sim.kernel import RunStatus, SimConfig, SimulationKernel
 from repro.sim.process import ProcessState
@@ -211,20 +211,64 @@ def test_unknown_effect_raises_type_error():
         kernel.run()
 
 
-def test_effect_subclass_dispatches_like_its_base():
-    class DebugLocalEffect(LocalEffect):
-        """An effect subclass, e.g. one carrying extra instrumentation."""
+class _DebugSend(SendEffect):
+    """An effect subclass, e.g. one carrying extra instrumentation."""
 
-    kernel, _ = make_kernel(n=1)
+    __slots__ = ()
+
+
+class _DebugWait(WaitEffect):
+    __slots__ = ()
+
+
+class _DebugSharedMem(SharedMemEffect):
+    __slots__ = ()
+
+
+class _DebugLocal(LocalEffect):
+    __slots__ = ()
+
+
+def _run_effect_mix(effects):
+    """Two processes exchanging a message through every effect kind.
+
+    ``effects`` maps each base effect type to the class actually yielded.
+    The first wait blocks until the peer's message arrives (delivery wake
+    path); the second is satisfied on the spot (inline resume path).
+    """
+    kernel, _ = make_kernel(n=2)
 
     def proc(ctx):
-        yield DebugLocalEffect(duration=0.5)
-        return "done"
+        yield effects[LocalEffect](duration=0.5)
+        value = yield effects[SharedMemEffect](operation=lambda pid: pid * 10, args=(ctx.pid,))
+        yield effects[SendEffect](dest=1 - ctx.pid, payload=value)
+        seen = yield effects[WaitEffect](lambda mailbox: mailbox[-1].payload if mailbox else None)
+        count = yield effects[WaitEffect](lambda mailbox: len(mailbox) or None)
+        return (seen, count)
 
-    kernel.add_process(0, proc)
-    result = kernel.run()
-    assert result.status is RunStatus.DECIDED
-    assert result.decisions == {0: "done"}
+    for pid in range(2):
+        kernel.add_process(pid, proc)
+    return kernel.run()
+
+
+@pytest.mark.parametrize(
+    "base, subclass",
+    [
+        (SendEffect, _DebugSend),
+        (WaitEffect, _DebugWait),
+        (SharedMemEffect, _DebugSharedMem),
+        (LocalEffect, _DebugLocal),
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_effect_subclass_dispatches_like_its_base(base, subclass):
+    plain = {cls: cls for cls in (SendEffect, WaitEffect, SharedMemEffect, LocalEffect)}
+    expected = _run_effect_mix(plain)
+    actual = _run_effect_mix({**plain, base: subclass})
+    assert actual.status is RunStatus.DECIDED
+    assert actual.decisions == expected.decisions == {0: (10, 1), 1: (0, 1)}
+    assert actual.end_time == expected.end_time
+    assert actual.events_processed == expected.events_processed
 
 
 def test_round_limit_halts_process():
