@@ -29,7 +29,8 @@ from pathlib import Path
 
 from repro.experiments import e11_resilience
 from repro.experiments.common import default_seeds
-from repro.harness.distributed import ShardSpec, merge_shards, run_plan, run_shard
+from repro.harness.coordinator import merge_stolen
+from repro.harness.distributed import ShardSpec, run_plan, run_shard
 from repro.network import fit_delay_model, load_rtt_samples
 
 RTT_DATASET = Path(__file__).resolve().parent.parent / "tests" / "data" / "rtt_sample.csv"
@@ -63,7 +64,7 @@ def main() -> None:
             result = run_shard(plan, ShardSpec(index, 2), out_dir)
             print(f"shard {index}/2 ran {result.runs_executed} runs "
                   f"({len(result.executed)} sweep points checkpointed)")
-        merged = merge_shards(out_dir, e11_resilience.plan(
+        merged = merge_stolen(out_dir, e11_resilience.plan(
             seeds=SEEDS,
             scenarios=("kill-during-recovery", "replica-loss-2"),
             delays=("empirical", "shifted-lognormal"),

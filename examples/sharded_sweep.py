@@ -7,11 +7,12 @@ decompositions x both hybrid algorithms, 3 seeds):
    pure data, identical on every host that builds it;
 2. run shard 1/2 and shard 2/2 into a shared output directory (here two
    calls in one process; in real use, two machines running
-   ``python -m repro run e1 --shard i/2 --out runs/``);
+   ``python -m repro run e1 --shard i/2 --out runs/``); shard i takes
+   every second sweep point, pre-assigned;
 3. simulate a machine dying mid-shard by deleting one of shard 2's
    per-point checkpoints, then re-run shard 2: only the lost point is
    recomputed, the surviving checkpoints are reused;
-4. merge the shards and verify the result is *bit-identical* to running
+4. merge the directory and verify the result is *bit-identical* to running
    the whole experiment on one host.
 
 Run with:  python examples/sharded_sweep.py
@@ -21,13 +22,8 @@ import tempfile
 
 from repro.experiments import e1_figure1
 from repro.experiments.common import default_seeds
-from repro.harness.distributed import (
-    ShardSpec,
-    checkpoint_path,
-    merge_shards,
-    run_plan,
-    run_shard,
-)
+from repro.harness.coordinator import merge_stolen, point_checkpoint_path
+from repro.harness.distributed import ShardSpec, run_plan, run_shard
 
 SEEDS = default_seeds(3)
 
@@ -46,19 +42,19 @@ def main() -> None:
                   f"({len(result.executed)} sweep points checkpointed)")
 
         # --- 2) machine 2 "dies" and loses one checkpoint ------------------
-        lost = checkpoint_path(out_dir, ShardSpec(2, 2), 0)
+        lost = point_checkpoint_path(out_dir, 1)  # shard 2/2 owns the odd points
         lost.unlink()
         print(f"\nsimulated crash: deleted {lost.name}")
 
         # --- 3) re-running the same command resumes, not restarts ----------
         resumed = run_shard(plan, ShardSpec(2, 2), out_dir)
-        print(f"shard 2/2 re-run: {len(resumed.resumed)} points resumed from "
+        print(f"shard 2/2 re-run: {len(resumed.already_done)} points resumed from "
               f"checkpoints, {len(resumed.executed)} recomputed "
               f"({resumed.runs_executed} runs instead of "
-              f"{resumed.runs_executed + resumed.runs_resumed})")
+              f"{resumed.runs_executed + resumed.runs_reused})")
 
         # --- 4) merge == single host, bit for bit --------------------------
-        merged = merge_shards(out_dir, e1_figure1.plan(seeds=SEEDS))
+        merged = merge_stolen(out_dir, e1_figure1.plan(seeds=SEEDS))
         report = e1_figure1.build_report(merged.plan, merged.aggregates)
 
     direct_aggregates = run_plan(e1_figure1.plan(seeds=SEEDS))

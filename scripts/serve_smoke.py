@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness import distributed  # noqa: E402
 from repro.harness.coordinator import merge_stolen, run_work_stealing  # noqa: E402
-from repro.obs.serve import aggregate_to_json, make_server, render_status_text  # noqa: E402
+from repro.obs.serve import SweepMonitor, aggregate_to_json, make_server  # noqa: E402
 
 KILL_AFTER_POINTS = 2
 
@@ -77,7 +77,7 @@ def main():
         thread.start()
         try:
             status = get_json(port, "/status")
-            assert status["mode"] == "steal", status
+            assert "error" not in status, status
             assert status["done"] == KILL_AFTER_POINTS, status
             fleet = status["telemetry"]["counters"]
             assert fleet["points_computed"] == KILL_AFTER_POINTS, fleet
@@ -113,7 +113,7 @@ def main():
             for label, aggregate in reference.aggregates.items():
                 assert final["aggregates"][label] == aggregate_to_json(aggregate), label
             print(f"finish      ok: {final['folded']} folded, bit-identical to merge_stolen")
-            print(render_status_text(out))
+            print(SweepMonitor(out).render_text())
         finally:
             server.shutdown()
             server.server_close()

@@ -12,13 +12,14 @@ coordination beyond a shared (or later collected) output directory::
     python -m repro serve --out runs/        # live HTTP view (JSON + HTML)
     python -m repro merge runs/ --report     # fold the directory, print report
 
-``run --shard`` splits the sweep statically (round-robin by run index) and
-writes one checkpoint per completed sweep point, so a killed shard re-invoked
-with the same command resumes instead of restarting.  ``run --steal`` replaces
-the fixed split with the work-stealing coordinator: each worker claims
-un-started sweep points via atomic leases in the shared directory and steals
-points whose leases expire, so a slow or dead host sheds its unfinished work
-(see ``docs/distributed.md``).  Either way, every host must build the same
+``run --shard I/K`` splits the sweep statically: shard I takes every K-th
+sweep point, pre-assigned, and writes one checkpoint per completed point, so a
+killed shard re-invoked with the same command resumes instead of restarting.
+``run --steal`` replaces the fixed split with work stealing: each worker
+claims un-started sweep points via atomic leases in the shared directory and
+steals points whose leases expire, so a slow or dead host sheds its unfinished
+work (see ``docs/distributed.md``).  Both write the same directory layout and
+may share one directory.  Either way, every host must build the same
 plan, which is why ``run`` exposes the experiment name and the seed count
 only -- both map deterministically to the plan; the seed list itself travels
 in the on-disk artifacts, so ``merge`` and ``status`` need nothing but the
@@ -41,19 +42,12 @@ from .experiments.common import default_seeds, run_planned
 from .experiments.e11_resilience import resilience_scenario_names
 from .harness.coordinator import (
     DEFAULT_LEASE_TTL,
-    is_steal_dir,
     merge_stolen,
     read_plan_header,
     run_work_stealing,
     steal_status,
 )
-from .harness.distributed import (
-    ShardError,
-    ShardSpec,
-    merge_shards,
-    read_manifests,
-    run_shard,
-)
+from .harness.distributed import ShardError, ShardSpec, run_shard
 from .harness.report import format_aggregates, format_records
 
 
@@ -130,8 +124,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     module, plan = _build_plan(args.experiment, args.seeds, scenarios=scenarios)
     if args.steal and args.shard is not None:
         raise ShardError(
-            "--steal and --shard are mutually exclusive: a directory is scheduled "
-            "either dynamically (leases) or statically (round-robin), never both"
+            "--steal and --shard are mutually exclusive: a worker either claims points "
+            "through leases or takes its shard's pre-assigned points"
         )
     if not args.steal and (
         args.worker is not None
@@ -146,20 +140,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.poll_interval is not None and not args.wait:
         raise ShardError("--poll-interval only applies with --wait")
-    if args.steal:
-        if args.out is None:
-            raise ShardError("--steal needs --out DIR to hold the leases and checkpoints")
-        result = run_work_stealing(
-            plan,
-            args.out,
-            worker=args.worker,
-            lease_ttl=DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl,
-            max_workers=args.max_workers,
-            max_points=args.max_points,
-            exec_mode=args.exec_mode,
-            wait=args.wait,
-            poll_interval=args.poll_interval,
-        )
+    if (args.steal or args.shard is not None) and args.out is None:
+        flag = "--steal" if args.steal else "--shard"
+        raise ShardError(f"{flag} needs --out DIR to hold the leases and checkpoints")
+    if args.out is not None:
+        if args.steal:
+            result = run_work_stealing(
+                plan,
+                args.out,
+                worker=args.worker,
+                lease_ttl=DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl,
+                max_workers=args.max_workers,
+                max_points=args.max_points,
+                exec_mode=args.exec_mode,
+                wait=args.wait,
+                poll_interval=args.poll_interval,
+            )
+        else:
+            shard = ShardSpec.parse(args.shard) if args.shard is not None else ShardSpec(1, 1)
+            result = run_shard(
+                plan, shard, args.out, max_workers=args.max_workers, exec_mode=args.exec_mode
+            )
         print(
             f"worker {result.worker} of {plan.key}: "
             f"{len(result.computed)} points computed ({result.runs_executed} runs), "
@@ -178,25 +179,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"worker manifest: {result.manifest}")
         print(f"progress:  python -m repro status {result.out_dir}")
         print(f"when every point is done:  python -m repro merge {result.out_dir} --report")
-        return 0
-    if args.shard is not None and args.out is None:
-        raise ShardError("--shard needs --out DIR to hold the manifest and checkpoints")
-    if args.out is not None:
-        shard = ShardSpec.parse(args.shard) if args.shard is not None else ShardSpec(1, 1)
-        result = run_shard(
-            plan, shard, args.out, max_workers=args.max_workers, exec_mode=args.exec_mode
-        )
-        done = result.runs_executed + result.runs_resumed
-        print(f"shard {shard} of {plan.key}: {done} runs "
-              f"({result.runs_executed} executed, {result.runs_resumed} resumed from checkpoints)")
-        for label in result.executed:
-            print(f"  computed  {label}")
-        for label in result.resumed:
-            print(f"  resumed   {label}")
-        for label in result.skipped:
-            print(f"  not-mine  {label}")
-        print(f"manifest: {result.manifest}")
-        print(f"when all {shard.count} shards are done:  python -m repro merge {result.out_dir} --report")
         return 0
     report = run_planned(
         plan, module.build_report, max_workers=args.max_workers, exec_mode=args.exec_mode
@@ -281,28 +263,19 @@ def _cmd_fit_delays(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recorded_provenance(out_dir: str):
-    """The plan provenance a run directory recorded (header or first manifest)."""
-    return (
-        read_plan_header(out_dir)
-        if is_steal_dir(out_dir)
-        else read_manifests(out_dir)[0]
-    )
-
-
 def _plan_from_artifacts(out_dir: str):
-    """Rebuild ``(module, plan)`` from a directory's recorded provenance.
+    """Rebuild ``(module, plan)`` from a directory's plan header.
 
     Raises :class:`ShardError` when the artifacts were not produced by the
     CLI (no experiment name recorded), since the plan cannot be rebuilt.
     """
-    recorded = _recorded_provenance(out_dir)
+    recorded = read_plan_header(out_dir)
     experiment = recorded.get("experiment")
     if not experiment:
         raise ShardError(
             f"artifacts in {out_dir} were not produced by the CLI (no experiment "
-            f"recorded); merge them with repro.harness.distributed.merge_shards (or "
-            f"repro.harness.coordinator.merge_stolen) and the plan that produced them"
+            f"recorded); merge them with repro.harness.coordinator.merge_stolen "
+            f"and the plan that produced them"
         )
     return _build_plan(
         experiment,
@@ -315,19 +288,14 @@ def _plan_from_artifacts(out_dir: str):
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     module, plan = _plan_from_artifacts(args.out_dir)
-    if is_steal_dir(args.out_dir):
-        merged = merge_stolen(args.out_dir, plan)
-        source = f"{merged.shard_count} worker(s)"
-    else:
-        merged = merge_shards(args.out_dir, plan)
-        source = f"{merged.shard_count} shard(s)"
+    merged = merge_stolen(args.out_dir, plan)
     if args.report:
         print(module.build_report(merged.plan, merged.aggregates).format())
         return 0
     print(
         format_aggregates(
             merged.aggregates,
-            title=f"{plan.key}: {source}, "
+            title=f"{plan.key}: {merged.shard_count} worker(s), "
             f"{plan.total_runs} runs over {len(plan.points)} points",
         )
     )
@@ -367,50 +335,25 @@ def _cmd_status(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         return 0
-    if is_steal_dir(args.out_dir):
-        status = steal_status(args.out_dir)
-        print(
-            f"{status.experiment or status.plan_key or '?'}: "
-            f"{status.done}/{status.points_total} points done "
-            f"({status.stolen} stolen), {status.leased} leased, "
-            f"{status.orphaned} orphaned, {status.unclaimed} unclaimed"
-        )
-        if status.workers:
-            rows = []
-            for row in status.workers:
-                row = dict(row)
-                telemetry = row.pop("telemetry", None)
-                if isinstance(telemetry, dict):
-                    row["telemetry"] = _telemetry_cell(telemetry)
-                rows.append(row)
-            print()
-            print(format_records(rows))
-        return 0
-    rows = []
-    for manifest in read_manifests(args.out_dir):
-        points = manifest["points"]
-        complete = sum(
-            1 for record in points.values() if not record["runs"] or record.get("checkpoint")
-        )
-        # A killed shard's manifest has records only for the points it
-        # reached, so the denominator must be the whole plan (the labels
-        # list), not the records seen so far.
-        total_points = len(manifest.get("labels") or points)
-        rows.append(
-            {
-                "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
-                "experiment": manifest.get("experiment") or manifest.get("plan_key", "?"),
-                "points_done": f"{complete}/{total_points}",
-                "runs_done": f"{manifest.get('runs_done', '?')}/{manifest.get('runs_total', '?')}",
-            }
-        )
-    print(format_records(rows))
+    status = steal_status(args.out_dir)
+    print(status.headline())
+    if status.workers:
+        rows = []
+        for row in status.workers:
+            row = dict(row)
+            telemetry = row.pop("telemetry", None)
+            if isinstance(telemetry, dict):
+                row["telemetry"] = _telemetry_cell(telemetry)
+            rows.append(row)
+        print()
+        print(format_records(rows))
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs.serve import make_server
 
+    read_plan_header(args.out, missing_ok=True)  # refuse an older build's directory
     try:
         _, plan = _plan_from_artifacts(args.out)
     except ShardError:
@@ -457,19 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--shard", default=None, metavar="I/K",
-        help="execute only shard I of K (1-based, static round-robin); every host must "
-        "use the same experiment and --seeds",
+        help="execute only shard I of K (1-based): the sweep points whose index is I-1 "
+        "modulo K, pre-assigned and claimed without leases; every host must use the "
+        "same experiment and --seeds",
     )
     run_parser.add_argument(
         "--steal", action="store_true",
         help="dynamic scheduling instead of --shard: claim un-started sweep points via "
         "atomic leases in --out and steal points whose leases expire, so slow or dead "
-        "workers shed their unfinished work; any number of workers may share DIR",
+        "workers shed their unfinished work; any number of workers (and shards) may "
+        "share DIR",
     )
     run_parser.add_argument(
         "--out", default=None, metavar="DIR",
-        help="directory for manifests, leases and per-point checkpoints (required with "
-        "--shard/--steal; re-running with the same DIR resumes from the checkpoints)",
+        help="directory for the plan header, worker manifests, leases and per-point "
+        "checkpoints (required with --shard/--steal; re-running with the same DIR "
+        "resumes from the checkpoints)",
     )
     run_parser.add_argument(
         "--worker", default=None, metavar="NAME",
@@ -581,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_parser.set_defaults(func=_cmd_fit_delays)
 
     merge_parser = commands.add_parser(
-        "merge", help="fold all shards or work-stealing workers in DIR into the single-host result"
+        "merge", help="fold every worker's checkpoints in DIR into the single-host result"
     )
     merge_parser.add_argument("out_dir", metavar="DIR", help="directory holding every worker's output")
     merge_parser.add_argument(
@@ -592,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     status_parser = commands.add_parser(
         "status",
-        help="show progress in DIR: per-shard counts, or for work-stealing runs the "
-        "done/leased/stolen/orphaned point counts and per-worker table",
+        help="show progress in DIR: the done/leased/stolen/orphaned/unclaimed point "
+        "counts and a per-worker table",
     )
     status_parser.add_argument(
-        "out_dir", metavar="DIR", help="directory holding shard manifests or a plan header"
+        "out_dir", metavar="DIR", help="run directory (the one holding plan.json)"
     )
     status_parser.add_argument(
         "--watch", type=float, default=None, metavar="SECONDS",
@@ -614,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--out", required=True, metavar="DIR",
-        help="run directory to observe (work-stealing or static shards; read-only)",
+        help="run directory to observe (read-only)",
     )
     serve_parser.add_argument(
         "--port", type=int, default=8321, metavar="P",

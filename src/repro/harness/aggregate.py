@@ -291,11 +291,11 @@ class SummaryReducer:
     ``start`` and ``step`` remap the batch position ``t`` that
     :func:`~.parallel.run_many` hands the reducer to the run's *logical*
     index ``start + t * step``.  The defaults are the identity, which is what
-    a whole batch executed in one place wants.  A shard of a larger sweep
-    (see :mod:`~repro.harness.distributed`) executes an index-strided subset
-    of the batch, and uses the remap so every run keeps the priority it
-    would have had in the unsharded execution -- the property that makes
-    merged shard aggregates bit-identical to the single-host sweep.
+    a whole batch executed in one place wants.  A caller executing an
+    index-strided subset of a larger batch uses the remap so every run keeps
+    the priority it would have had in the whole execution -- the property
+    that makes merged aggregates bit-identical to the single-host sweep.
+    (The sweep harness checkpoints whole points, so it needs only ``start``.)
     """
 
     entropy: int = 0

@@ -1,14 +1,12 @@
-"""Dynamic work stealing for sweep plans: leases, heartbeats, theft, merge.
+"""The sweep scheduler: leases, heartbeats, theft, static shards, point state, merge.
 
-Static sharding (:mod:`~repro.harness.distributed`) fixes ownership up
-front: shard ``i/k`` owns every ``k``-th run, forever.  On a homogeneous
-fleet that is perfect -- zero coordination -- but one slow or dead host
-strands its share of the sweep until someone re-runs that exact shard.
-This module adds the coordinator the ROADMAP asked for: workers *claim*
-sweep points through atomic lease files in the shared output directory,
-renew their claims with heartbeats while computing, and **steal** points
-whose leases expire -- so a slow host sheds its un-started points to
-faster ones and a killed host's work is picked up automatically.
+Workers *claim* sweep points through atomic lease files in the shared
+output directory, renew their claims with heartbeats while computing, and
+**steal** points whose leases expire -- so a slow host sheds its
+un-started points to faster ones and a killed host's work is picked up
+automatically.  A static shard ``i/k`` is the same scheduler with
+pre-assigned claims: the worker ``shard-IofK`` takes every point whose
+index is ``i-1`` modulo ``k``, without leases, and never steals.
 
 The unit of claiming is one whole sweep point (every seed of one
 parameter combination).  Every run keeps the summary index -- and
@@ -48,22 +46,23 @@ checkpoint write is atomic.  Correctness never depends on the clock;
 clock skew can only make theft early (duplicated work) or late (idle
 time).  See ``docs/distributed.md`` for the full failure-mode table.
 
-On-disk layout (all under the shared ``--out`` directory)::
+On-disk layout (all under the shared ``--out`` directory), the same for
+static shards and stealing workers, so both may share one directory --
+the worst case of mixing them is duplicated, bit-identical work::
 
     plan.json                    header: version, fingerprint, seeds, labels
     leases/point-0003-gen-0001.json   lease provenance, one file per claim/steal
     point-0003.pkl               checkpoint: every RunSummary of point 3
-    steal-worker-<name>.json     per-worker manifest: outcomes, lease history
+    steal-worker-<name>.json     per-worker manifest: one outcome per point
 
-Static sharding is the degenerate scheduler of the same claim loop:
-:class:`StaticShardScheduler` claims its round-robin-owned points
-unconditionally and never steals, while :class:`WorkStealingScheduler`
-claims through leases.  Both feed :func:`drive_claims`, which is the
-single execute-and-checkpoint loop.
+:func:`point_states` is the one reader of point state: the scheduler,
+``status``, ``serve``, the incremental merger and :func:`merge_stolen` all
+count a point done only when its checkpoint loads and matches the plan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -72,28 +71,24 @@ import socket
 import threading
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import distributed
-from .aggregate import RunAggregate, RunSummary, SummaryReducer, priority_backend
+from .aggregate import RunSummary, SummaryReducer, priority_backend
 from .distributed import (
     MANIFEST_VERSION,
     ManifestError,
     MergedSweep,
-    ShardRunResult,
     ShardSpec,
     SweepPlan,
     _atomic_write_bytes,
     _load_checkpoint,
-    _load_manifest,
     _write_checkpoint,
     check_merge_provenance,
-    checkpoint_path,
-    find_manifests,
-    manifest_path,
 )
 from ..obs.telemetry import Telemetry
 from .parallel import worker_pool
@@ -103,7 +98,7 @@ from .parallel import worker_pool
 #: gone, and a too-short TTL turns slow points into duplicated work.
 DEFAULT_LEASE_TTL = 60.0
 
-#: The shared-plan header file marking a directory as a work-stealing run.
+#: The shared-plan header file every run directory starts with.
 PLAN_HEADER_NAME = "plan.json"
 
 #: Subdirectory of the run directory holding the per-point lease files.
@@ -112,10 +107,12 @@ LEASE_DIR_NAME = "leases"
 _LEASE_RE = re.compile(r"^point-(\d+)-gen-(\d+)\.json$")
 _WORKER_MANIFEST_RE = re.compile(r"^steal-worker-(.+)\.json$")
 _WORKER_NAME_RE = re.compile(r"[^A-Za-z0-9._-]+")
+#: The static shard manifests of manifest version 3 and earlier.
+_OLD_SHARD_MANIFEST_RE = re.compile(r"^shard-\d+of\d+\.json$")
 
-#: Steal-mode checkpoints cover every seed of a point -- the degenerate
-#: whole-plan shard, which is what keeps their summary indices unsharded.
-_WHOLE = ShardSpec(1, 1)
+#: The wall clock every lease decision reads: acquiring, renewing and
+#: judging expiry.  Tests move it forward instead of sleeping past a TTL.
+_now = time.time
 
 
 class LeaseError(ManifestError):
@@ -124,17 +121,17 @@ class LeaseError(ManifestError):
 
 # ------------------------------------------------------------------- paths
 def plan_header_path(out_dir: Union[str, Path]) -> Path:
-    """Where the shared plan header of a work-stealing run lives."""
+    """Where the shared plan header of a run directory lives."""
     return Path(out_dir) / PLAN_HEADER_NAME
 
 
 def lease_dir(out_dir: Union[str, Path]) -> Path:
-    """The lease subdirectory of a work-stealing run directory."""
+    """The lease subdirectory of a run directory."""
     return Path(out_dir) / LEASE_DIR_NAME
 
 
 def point_checkpoint_path(out_dir: Union[str, Path], point_index: int) -> Path:
-    """Where the whole-point checkpoint of a work-stealing run lives."""
+    """Where the whole-point checkpoint of one sweep point lives."""
     return Path(out_dir) / f"point-{point_index:04d}.pkl"
 
 
@@ -149,11 +146,6 @@ def find_worker_manifests(out_dir: Union[str, Path]) -> List[Path]:
     if not out.is_dir():
         raise ManifestError(f"{out} is not a directory")
     return sorted(path for path in out.iterdir() if _WORKER_MANIFEST_RE.match(path.name))
-
-
-def is_steal_dir(out_dir: Union[str, Path]) -> bool:
-    """Whether ``out_dir`` holds (the start of) a work-stealing run."""
-    return plan_header_path(out_dir).is_file()
 
 
 def default_worker_name() -> str:
@@ -198,33 +190,15 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
 
     The first worker creates ``plan.json`` atomically; every later worker
     -- and :func:`steal_status` / :func:`merge_stolen`, which need nothing
-    but the directory -- validates against it.  A directory already holding
-    static shard artifacts, or a header for a different plan, is refused.
+    but the directory -- validates against it.  A header for a different
+    plan, or a directory written by an older build, is refused.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if find_manifests(out):
-        raise ManifestError(
-            f"{out} holds static shard artifacts (shard-IofK.json); a run "
-            f"directory is either statically sharded or work-stealing, never "
-            f"both -- merge or clear it before reusing it"
-        )
     path = plan_header_path(out)
-    payload = {
-        "version": MANIFEST_VERSION,
-        "schedule": "steal",
-        "fingerprint": plan.fingerprint(),
-        "plan_key": plan.key,
-        "experiment": plan.experiment,
-        "indexing": plan.indexing,
-        "priority_backend": priority_backend(),
-        "delay_models": plan.delay_models(),
-        "scenarios": plan.scenario_names(),
-        "seeds": list(plan.seeds),
-        "labels": [point.label for point in plan.points],
-        "runs_total": plan.total_runs,
-    }
-    encoded = json.dumps(payload, indent=2).encode("utf-8")
+    if not path.exists():
+        _refuse_old_layout(out)
+    encoded = json.dumps(_header_payload(plan), indent=2).encode("utf-8")
     if not path.exists() and _atomic_create_bytes(path, encoded):
         return path
     existing = read_plan_header(out)
@@ -239,9 +213,39 @@ def write_plan_header(out_dir: Union[str, Path], plan: SweepPlan) -> Path:
     return path
 
 
-def read_plan_header(out_dir: Union[str, Path]) -> Dict[str, Any]:
-    """Load and structurally validate the plan header of ``out_dir``."""
+def _header_payload(plan: SweepPlan) -> Dict[str, Any]:
+    """The ``plan.json`` contents for ``plan``."""
+    return {
+        "version": MANIFEST_VERSION,
+        "fingerprint": plan.fingerprint(),
+        "plan_key": plan.key,
+        "experiment": plan.experiment,
+        "indexing": plan.indexing,
+        "priority_backend": priority_backend(),
+        "delay_models": plan.delay_models(),
+        "scenarios": plan.scenario_names(),
+        "seeds": list(plan.seeds),
+        "labels": [point.label for point in plan.points],
+        "runs_total": plan.total_runs,
+    }
+
+
+def read_plan_header(out_dir: Union[str, Path], missing_ok: bool = False) -> Optional[Dict[str, Any]]:
+    """Load and structurally validate the plan header of ``out_dir``.
+
+    A directory with no header yet raises :class:`ManifestError`, or gives
+    ``None`` with ``missing_ok``; a directory written by an older build is
+    refused either way, with an error naming the file.
+    """
     path = plan_header_path(out_dir)
+    if not path.is_file():
+        _refuse_old_layout(Path(out_dir))
+        if missing_ok:
+            return None
+        raise ManifestError(
+            f"no plan header ({PLAN_HEADER_NAME}) in {out_dir}: not a run "
+            f"directory, or no worker has started on it yet"
+        )
     try:
         raw = json.loads(path.read_text())
     except (OSError, ValueError) as error:
@@ -251,13 +255,27 @@ def read_plan_header(out_dir: Union[str, Path]) -> Dict[str, Any]:
     if raw["version"] != MANIFEST_VERSION:
         raise ManifestError(
             f"plan header {path} has version {raw['version']!r} but this build "
-            f"reads version {MANIFEST_VERSION}; re-run its workers with a "
-            f"matching build"
+            f"reads version {MANIFEST_VERSION}; re-run the sweep with this build "
+            f"into a fresh directory"
         )
-    missing = [key for key in ("fingerprint", "seeds", "labels") if key not in raw]
+    missing = [key for key in ("fingerprint", "indexing", "seeds", "labels") if key not in raw]
     if missing:
         raise ManifestError(f"malformed plan header {path}: missing fields {missing}")
     return raw
+
+
+def _refuse_old_layout(out: Path) -> None:
+    """Refuse a directory of manifest-version-3 static shards, naming a manifest."""
+    if not out.is_dir():
+        return
+    for path in sorted(out.iterdir()):
+        if _OLD_SHARD_MANIFEST_RE.match(path.name):
+            raise ManifestError(
+                f"{path} is a static shard manifest from an older build (manifest "
+                f"version 3 or earlier); this build reads version {MANIFEST_VERSION} "
+                f"run directories only -- re-run the sweep with this build into a "
+                f"fresh directory"
+            )
 
 
 # ------------------------------------------------------------------ leases
@@ -292,7 +310,7 @@ class Lease:
         """Whether this lease is past its TTL (corrupt leases always are)."""
         if self.corrupt:
             return True
-        return (time.time() if now is None else now) >= self.expires_at
+        return (_now() if now is None else now) >= self.expires_at
 
 
 def _lease_path(out_dir: Union[str, Path], point_index: int, generation: int) -> Path:
@@ -351,7 +369,7 @@ def _parse_lease(path: Path, point_index: int, generation: int, warn: bool = Tru
 def _lease_index(out_dir: Union[str, Path]) -> Dict[int, Tuple[int, Path]]:
     """One directory scan: each point's highest lease generation and its file.
 
-    Shared by :func:`current_lease` (one point) and :func:`steal_status`
+    Shared by :func:`current_lease` (one point) and :func:`point_states`
     (every point), so a status call over a P-point plan costs one scan of
     ``leases/``, not P of them.
     """
@@ -378,19 +396,6 @@ def current_lease(
         return None
     generation, path = entry
     return _parse_lease(path, point_index, generation, warn=warn)
-
-
-def live_leases(out_dir: Union[str, Path]) -> List[Lease]:
-    """The live lease of every leased point, ordered by point index.
-
-    One directory scan; used by the observability layer (``serve`` and
-    ``status --watch``) to read heartbeat ages and the per-worker telemetry
-    snapshots that ride the lease files.
-    """
-    return [
-        _parse_lease(path, point_index, generation, warn=False)
-        for point_index, (generation, path) in sorted(_lease_index(out_dir).items())
-    ]
 
 
 def try_claim(
@@ -448,7 +453,7 @@ def _try_acquire(
             f"point index {point_index} outside the plan's 0..{len(plan.points) - 1}"
         )
     lease_dir(out_dir).mkdir(parents=True, exist_ok=True)
-    now = time.time()
+    now = _now()
     lease = Lease(
         point_index=point_index,
         generation=generation,
@@ -475,15 +480,8 @@ def renew_lease(
     ``telemetry`` (a :meth:`~repro.obs.telemetry.Telemetry.snapshot`)
     piggybacks on the heartbeat so worker metrics cost no extra file.
     """
-    renewed = Lease(
-        point_index=lease.point_index,
-        generation=lease.generation,
-        worker=lease.worker,
-        acquired_at=lease.acquired_at,
-        renewed_at=time.time(),
-        ttl=lease.ttl,
-        path=lease.path,
-        telemetry=telemetry if telemetry is not None else lease.telemetry,
+    renewed = dataclasses.replace(
+        lease, renewed_at=_now(), telemetry=telemetry if telemetry is not None else lease.telemetry
     )
     _atomic_write_bytes(lease.path, _lease_payload(renewed, fingerprint))
     top = current_lease(lease.path.parent.parent, lease.point_index, warn=False)
@@ -497,18 +495,12 @@ def renew_lease(
 class PointTask:
     """One claimed sweep point, ready to execute.
 
-    ``positions`` are the seed positions to run, ``start``/``step`` the
-    affine remap restoring each run's unsharded summary index (see
-    :class:`~repro.harness.aggregate.SummaryReducer`).  ``superseded``
-    flips when the holder's lease was stolen mid-execution.
+    ``lease`` is ``None`` for a static shard's pre-assigned claim;
+    ``superseded`` flips when the holder's lease was stolen mid-execution.
     """
 
     point_index: int
     label: str
-    positions: List[int]
-    start: int
-    step: int
-    checkpoint: Path
     lease: Optional[Lease] = None
     superseded: bool = False
 
@@ -519,7 +511,7 @@ def execute_point(
     max_workers: Optional[int],
     exec_mode: Optional[str] = None,
 ) -> List[RunSummary]:
-    """Run one claimed point's configurations and summarize them.
+    """Run every seed of one claimed point and summarize the runs.
 
     Resolves ``run_many`` through the :mod:`~repro.harness.distributed`
     module at call time, preserving the long-standing test seam that
@@ -529,8 +521,8 @@ def execute_point(
     whichever mode computed them.
     """
     point = plan.points[task.point_index]
-    configs = [point.config.with_seed(plan.seeds[si]) for si in task.positions]
-    reducer = SummaryReducer(entropy=plan.entropy, start=task.start, step=task.step)
+    configs = [point.config.with_seed(seed) for seed in plan.seeds]
+    reducer = SummaryReducer(entropy=plan.entropy, start=plan.run_index(task.point_index, 0))
     return distributed.run_many(
         configs,
         max_workers=max_workers,
@@ -542,17 +534,15 @@ def execute_point(
 
 def drive_claims(
     plan: SweepPlan,
-    scheduler: Any,
+    scheduler: "WorkStealingScheduler",
     max_workers: Optional[int] = None,
     exec_mode: Optional[str] = None,
-) -> Any:
+) -> "StealRunResult":
     """Run a scheduler's claim loop to completion and return its result.
 
-    The one loop both schedulers share: ask the scheduler for claimed
-    tasks, execute each under the scheduler's hold (a lease heartbeat for
-    work stealing, a no-op for static shards), and hand the summaries back
-    for checkpointing.  Static sharding is the degenerate case where every
-    claim succeeds and nothing is ever stolen.
+    Ask the scheduler for claimed tasks, execute each under the scheduler's
+    hold (a lease heartbeat, or nothing for a static shard's pre-assigned
+    claim), and hand the summaries back for checkpointing.
     """
     with worker_pool(max_workers if exec_mode != "coop" else 1):
         for task in scheduler.claims():
@@ -562,147 +552,23 @@ def drive_claims(
     return scheduler.finish()
 
 
-class StaticShardScheduler:
-    """The degenerate no-steal scheduler: fixed round-robin ownership.
-
-    Reproduces classic ``run_shard`` behaviour through the shared claim
-    loop: every point this shard owns is "claimed" unconditionally, valid
-    checkpoints are resumed, and the shard manifest is rewritten atomically
-    after every point so a killed invocation leaves a resumable prefix.
-    """
-
-    schedule = "static"
-
-    def __init__(self, plan: SweepPlan, shard: ShardSpec, out_dir: Path) -> None:
-        self.plan = plan
-        self.shard = shard
-        self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-        if is_steal_dir(self.out):
-            raise ManifestError(
-                f"{self.out} holds a work-stealing run ({PLAN_HEADER_NAME}); a run "
-                f"directory is either statically sharded or work-stealing, never "
-                f"both -- merge or clear it before reusing it"
-            )
-        fingerprint = plan.fingerprint()
-        for existing_path in find_manifests(self.out):
-            existing = _load_manifest(existing_path)
-            if existing["fingerprint"] != fingerprint:
-                raise ManifestError(
-                    f"{existing_path} belongs to a different plan (fingerprint "
-                    f"{existing['fingerprint'][:12]}... != {fingerprint[:12]}...); "
-                    f"every shard sharing an output directory must run the same "
-                    f"experiment with the same seeds -- merge or clear that "
-                    f"directory before reusing it"
-                )
-        self.result = ShardRunResult(
-            shard=shard, out_dir=self.out, manifest=manifest_path(self.out, shard)
-        )
-        self._points_record: Dict[str, Dict[str, Any]] = {}
-
-    def claims(self) -> Iterator[PointTask]:
-        """Yield every owned, not-yet-checkpointed point, in plan order."""
-        for point_index, point in enumerate(self.plan.points):
-            owned = self.plan.owned_positions(point_index, self.shard)
-            record: Dict[str, Any] = {"label": point.label, "runs": len(owned)}
-            self._points_record[str(point_index)] = record
-            if not owned:
-                self.result.skipped.append(point.label)
-                record["checkpoint"] = None
-                continue
-            cpath = checkpoint_path(self.out, self.shard, point_index)
-            if cpath.exists():
-                try:
-                    summaries = _load_checkpoint(cpath, self.plan, self.shard, point_index)
-                except ManifestError as error:
-                    warnings.warn(
-                        f"recomputing point {point.label!r}: {error}", RuntimeWarning
-                    )
-                else:
-                    self.result.resumed.append(point.label)
-                    self.result.runs_resumed += len(summaries)
-                    record["checkpoint"] = cpath.name
-                    self._write_manifest()
-                    continue
-            yield PointTask(
-                point_index=point_index,
-                label=point.label,
-                positions=owned,
-                start=self.plan.run_index(point_index, owned[0]),
-                step=self.shard.count,
-                checkpoint=cpath,
-            )
-
-    @contextmanager
-    def hold(self, task: PointTask) -> Iterator[None]:
-        """No-op: static ownership needs no heartbeat."""
-        yield
-
-    def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
-        """Checkpoint one computed point and persist the manifest."""
-        _write_checkpoint(
-            task.checkpoint,
-            self.plan,
-            self.shard,
-            task.point_index,
-            summaries,
-            provenance={"schedule": self.schedule},
-        )
-        self.result.executed.append(task.label)
-        self.result.runs_executed += len(summaries)
-        self._points_record[str(task.point_index)]["checkpoint"] = task.checkpoint.name
-        self._write_manifest()
-
-    def finish(self) -> ShardRunResult:
-        """Write the final manifest and report what this shard did."""
-        self._write_manifest()
-        return self.result
-
-    def _write_manifest(self) -> None:
-        payload = {
-            "version": MANIFEST_VERSION,
-            "schedule": self.schedule,
-            "fingerprint": self.plan.fingerprint(),
-            "plan_key": self.plan.key,
-            "experiment": self.plan.experiment,
-            "indexing": self.plan.indexing,
-            "priority_backend": priority_backend(),
-            "delay_models": self.plan.delay_models(),
-            "scenarios": self.plan.scenario_names(),
-            "shard_index": self.shard.index,
-            "shard_count": self.shard.count,
-            "seeds": list(self.plan.seeds),
-            "labels": [point.label for point in self.plan.points],
-            "points": self._points_record,
-            "runs_total": sum(
-                len(self.plan.owned_positions(pi, self.shard))
-                for pi in range(len(self.plan.points))
-            ),
-            "runs_done": self.result.runs_executed + self.result.runs_resumed,
-        }
-        _atomic_write_bytes(
-            self.result.manifest, json.dumps(payload, indent=2).encode("utf-8")
-        )
-
-
-# ----------------------------------------------------------- work stealing
 @dataclass
 class StealRunResult:
-    """What one work-stealing worker invocation did, by point label.
+    """What one worker invocation did, by point label.
 
-    ``executed`` were computed from fresh generation-0 claims, ``stolen``
-    from expired leases taken over; ``already_done`` had a valid checkpoint
-    (any worker's) before this invocation touched them; ``left_behind``
-    were un-done when this worker exited -- live-leased by other workers,
-    or unattempted because ``max_points`` ran out; ``lost`` were computed
-    here but checkpointed by a thief first (possible only after this
-    worker stalled past its TTL).
+    ``executed`` were computed from fresh generation-0 claims (or, for a
+    static shard, from pre-assigned claims), ``stolen`` from expired leases
+    taken over; ``already_done`` had a valid checkpoint (any worker's)
+    before this invocation touched them; ``left_behind`` were un-done when
+    this worker exited -- live-leased by other workers, or unattempted
+    because ``max_points`` ran out; ``lost`` were computed here but
+    checkpointed by a thief first (possible only after this worker stalled
+    past its TTL).
     """
 
     worker: str
     out_dir: Path
     manifest: Path
-    plan_header: Path
     executed: List[str] = field(default_factory=list)
     stolen: List[str] = field(default_factory=list)
     already_done: List[str] = field(default_factory=list)
@@ -718,7 +584,7 @@ class StealRunResult:
 
 
 class WorkStealingScheduler:
-    """Lease-based scheduler: claim un-started points, steal expired ones.
+    """The one scheduler: lease-based claims and steals, or a static shard.
 
     Pass one claims never-leased points (scanning from a worker-specific
     rotation offset, so concurrent workers mostly avoid colliding); pass
@@ -729,9 +595,11 @@ class WorkStealingScheduler:
     the worker idles instead of exiting: it re-polls every
     ``poll_interval`` seconds until the remaining points are checkpointed
     by their holders or their leases expire and become stealable.
-    """
 
-    schedule = "steal"
+    With ``shard`` the worker (named ``shard-IofK`` by default) takes only
+    its pre-assigned points, in plan order, without leases, and never
+    steals: there is no lease to wait out, so a re-run resumes at once.
+    """
 
     def __init__(
         self,
@@ -742,6 +610,7 @@ class WorkStealingScheduler:
         max_points: Optional[int] = None,
         wait: bool = False,
         poll_interval: Optional[float] = None,
+        shard: Optional[ShardSpec] = None,
     ) -> None:
         if lease_ttl <= 0:
             raise LeaseError(f"lease ttl must be positive, got {lease_ttl}")
@@ -751,9 +620,12 @@ class WorkStealingScheduler:
             raise LeaseError(f"poll interval must be positive, got {poll_interval}")
         self.plan = plan
         self.out = Path(out_dir)
-        self.worker = (
-            sanitize_worker_name(worker) if worker is not None else default_worker_name()
-        )
+        self.shard = shard
+        if worker is None:
+            worker = (
+                default_worker_name() if shard is None else f"shard-{shard.index}of{shard.count}"
+            )
+        self.worker = sanitize_worker_name(worker)
         self.ttl = float(lease_ttl)
         self.max_points = max_points
         self.wait = wait
@@ -763,30 +635,32 @@ class WorkStealingScheduler:
             float(poll_interval) if poll_interval is not None else max(self.ttl / 4.0, 0.01)
         )
         self.telemetry = Telemetry()
-        header = write_plan_header(self.out, plan)
-        lease_dir(self.out).mkdir(parents=True, exist_ok=True)
+        write_plan_header(self.out, plan)
         self.result = StealRunResult(
-            worker=self.worker,
-            out_dir=self.out,
-            manifest=worker_manifest_path(self.out, self.worker),
-            plan_header=header,
+            worker=self.worker, out_dir=self.out, manifest=worker_manifest_path(self.out, self.worker)
         )
-        self._fingerprint = plan.fingerprint()
+        self._header = _header_payload(plan)
         self._recorded: Dict[int, str] = {}
         self._computed = 0
 
     # ------------------------------------------------------------- claiming
     def claims(self) -> Iterator[PointTask]:
-        """Yield leased tasks: fresh claims first, then steals of expired leases."""
+        """Yield claimed tasks: fresh claims first, then steals of expired leases.
+
+        A static shard yields its unsettled pre-assigned points instead.
+        """
         for point_index in self._rotation():
             if self._exhausted():
                 break
             if self._settled(point_index):
                 continue
+            if self.shard is not None:
+                yield self._task(point_index, None)
+                continue
             lease = try_claim(self.out, self.plan, point_index, self.worker, self.ttl)
             if lease is not None:
                 yield self._task(point_index, lease)
-        while not self._exhausted():
+        while self.shard is None and not self._exhausted():
             progressed = False
             for point_index in self._rotation():
                 if self._exhausted():
@@ -826,7 +700,8 @@ class WorkStealingScheduler:
         """Renew the task's lease from a heartbeat thread while it executes.
 
         Each renewal carries a fresh telemetry snapshot, so the lease file
-        doubles as the worker's live metrics feed while it computes.
+        doubles as the worker's live metrics feed while it computes.  A
+        static shard's lease-free task is only timed.
         """
         stop = threading.Event()
         interval = max(self.ttl / 4.0, 0.01)
@@ -835,28 +710,31 @@ class WorkStealingScheduler:
             """Renew until stopped, superseded, or the context exits."""
             while not stop.wait(interval):
                 refreshed = renew_lease(
-                    task.lease, self._fingerprint, telemetry=self.telemetry.snapshot()
+                    task.lease, self._header["fingerprint"], telemetry=self.telemetry.snapshot()
                 )
                 if refreshed is None:
                     task.superseded = True
                     return
                 task.lease = refreshed
 
-        keeper = threading.Thread(
-            target=beat, name=f"lease-keeper-point-{task.point_index}", daemon=True
-        )
-        keeper.start()
+        keeper = None
+        if task.lease is not None:
+            keeper = threading.Thread(
+                target=beat, name=f"lease-keeper-point-{task.point_index}", daemon=True
+            )
+            keeper.start()
         try:
             with self.telemetry.timer("point_seconds"):
                 yield
         finally:
             stop.set()
-            keeper.join(timeout=10.0)
+            if keeper is not None:
+                keeper.join(timeout=10.0)
 
     def complete(self, task: PointTask, summaries: List[RunSummary]) -> None:
         """Checkpoint one computed point, unless a thief beat us to it."""
         self._computed += 1
-        if task.superseded and task.checkpoint.exists():
+        if task.superseded and load_point(self.out, self._header, task.point_index)[0] is not None:
             # Stolen from us mid-run and the thief finished first.  Its
             # checkpoint is bit-identical to ours, so nothing is wasted but
             # our own time; record the loss and keep going.
@@ -865,24 +743,23 @@ class WorkStealingScheduler:
             self.telemetry.inc("points_lost")
             self._write_manifest()
             return
+        generation = task.lease.generation if task.lease is not None else None
         _write_checkpoint(
-            task.checkpoint,
+            point_checkpoint_path(self.out, task.point_index),
             self.plan,
-            _WHOLE,
             task.point_index,
             summaries,
             provenance={
-                "schedule": self.schedule,
                 "worker": self.worker,
-                "lease_generation": task.lease.generation,
-                "stolen": task.lease.generation > 0,
+                "lease_generation": generation,
+                "stolen": bool(generation),
             },
         )
         self.result.runs_executed += len(summaries)
         self.telemetry.inc("points_computed")
         self.telemetry.inc("runs_executed", len(summaries))
         self.telemetry.set_gauge("last_checkpoint_at", time.time())
-        if task.lease.generation > 0:
+        if generation:
             self._recorded[task.point_index] = "stolen"
             self.result.stolen.append(task.label)
             self.telemetry.inc("points_stolen")
@@ -898,12 +775,15 @@ class WorkStealingScheduler:
 
     # ------------------------------------------------------------ internals
     def _rotation(self) -> List[int]:
-        """Point indices starting at this worker's hash offset.
+        """The point indices this worker considers, in claim order.
 
-        Concurrent workers start their scans at different points of the
-        plan, so fresh claims mostly avoid fighting over the same lease.
+        A static shard takes its pre-assigned points in plan order.  A
+        stealing worker scans every point from its own hash offset, so
+        concurrent workers' fresh claims mostly avoid fighting over one lease.
         """
         count = len(self.plan.points)
+        if self.shard is not None:
+            return [point_index for point_index in range(count) if self.shard.owns(point_index)]
         offset = int(hashlib.sha256(self.worker.encode("utf-8")).hexdigest(), 16) % count
         return list(range(offset, count)) + list(range(offset))
 
@@ -911,28 +791,27 @@ class WorkStealingScheduler:
         return self.max_points is not None and self._computed >= self.max_points
 
     def _settled(self, point_index: int) -> bool:
-        """Whether this worker is done considering ``point_index``."""
+        """Whether this worker is done considering ``point_index``.
+
+        Memoized in ``_recorded``: each valid checkpoint is loaded at most
+        once per worker.
+        """
         if point_index in self._recorded:
             return True
-        cpath = point_checkpoint_path(self.out, point_index)
         label = self.plan.points[point_index].label
-        if cpath.exists():
-            try:
-                summaries = _load_checkpoint(cpath, self.plan, _WHOLE, point_index)
-            except ManifestError as error:
-                warnings.warn(
-                    f"recomputing point {label!r}: {error}", RuntimeWarning
-                )
-                return False
-            self._recorded[point_index] = "already-done"
-            self.result.already_done.append(label)
-            self.result.runs_reused += len(summaries)
-            self._write_manifest()
-            return True
-        return False
+        summaries, error = load_point(self.out, self._header, point_index)
+        if error is not None:
+            warnings.warn(f"recomputing point {label!r}: {error}", RuntimeWarning)
+        if summaries is None:
+            return False
+        self._recorded[point_index] = "already-done"
+        self.result.already_done.append(label)
+        self.result.runs_reused += len(summaries)
+        self._write_manifest()
+        return True
 
     def _outstanding(self) -> List[int]:
-        """Points not yet settled, settling any checkpointed since the last pass.
+        """This worker's unsettled points, settling any checkpointed since the last pass.
 
         Goes through :meth:`_settled` so a checkpoint landing after the last
         claim pass is recorded as already-done: every point ends in exactly
@@ -940,18 +819,14 @@ class WorkStealingScheduler:
         """
         return [
             point_index
-            for point_index in range(len(self.plan.points))
+            for point_index in sorted(self._rotation())
             if not self._settled(point_index)
         ]
 
-    def _task(self, point_index: int, lease: Lease) -> PointTask:
+    def _task(self, point_index: int, lease: Optional[Lease]) -> PointTask:
         return PointTask(
             point_index=point_index,
             label=self.plan.points[point_index].label,
-            positions=list(range(len(self.plan.seeds))),
-            start=self.plan.run_index(point_index, 0),
-            step=1,
-            checkpoint=point_checkpoint_path(self.out, point_index),
             lease=lease,
         )
 
@@ -965,12 +840,7 @@ class WorkStealingScheduler:
         }
         payload = {
             "version": MANIFEST_VERSION,
-            "schedule": self.schedule,
-            "fingerprint": self._fingerprint,
-            "plan_key": self.plan.key,
-            "experiment": self.plan.experiment,
-            "indexing": self.plan.indexing,
-            "priority_backend": priority_backend(),
+            "fingerprint": self._header["fingerprint"],
             "worker": self.worker,
             "lease_ttl": self.ttl,
             "points": outcomes,
@@ -1002,15 +872,15 @@ def run_work_stealing(
     Claims un-started sweep points through atomic leases, heartbeats them
     while computing, steals points whose leases expire, and exits when
     every point is checkpointed or only live-leased work remains.  Any
-    number of workers (concurrent or sequential, homogeneous or not) may
-    share ``out_dir``; :func:`merge_stolen` folds the result bit-identically
-    to the single-host sweep.  ``max_points`` bounds how many points this
-    invocation computes (useful for fixed-size work grants); ``lease_ttl``
-    is how long a silent holder keeps a point before it becomes stealable.
-    ``wait=True`` makes the worker idle (re-polling every ``poll_interval``
-    seconds, default ``lease_ttl / 4``) when everything left is live-leased,
-    instead of exiting -- so a fleet drains a sweep without a supervisor
-    re-launching stragglers.
+    number of workers (concurrent or sequential, homogeneous or not, static
+    shards included) may share ``out_dir``; :func:`merge_stolen` folds the
+    result bit-identically to the single-host sweep.  ``max_points`` bounds
+    how many points this invocation computes (useful for fixed-size work
+    grants); ``lease_ttl`` is how long a silent holder keeps a point before
+    it becomes stealable.  ``wait=True`` makes the worker idle (re-polling
+    every ``poll_interval`` seconds, default ``lease_ttl / 4``) when
+    everything left is live-leased, instead of exiting -- so a fleet drains
+    a sweep without a supervisor re-launching stragglers.
     """
     scheduler = WorkStealingScheduler(
         plan,
@@ -1024,16 +894,105 @@ def run_work_stealing(
     return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
 
 
+# ------------------------------------------------------------- point state
+#: The states a point can be in.  Every reader classifies points the same
+#: way, through :func:`point_states`.
+POINT_STATES = ("done", "leased", "orphaned", "unclaimed")
+
+
+@dataclass
+class PointState:
+    """One sweep point's state in a run directory.
+
+    ``state`` is one of :data:`POINT_STATES`.  ``summaries`` holds the
+    loaded checkpoint of a ``done`` point; ``error`` says why a checkpoint
+    file on disk did not count (unreadable, or not this plan's or this
+    point's).  ``lease`` is the point's live lease, if it was ever leased.
+    """
+
+    index: int
+    label: str
+    state: str
+    lease: Optional[Lease] = None
+    summaries: Optional[List[RunSummary]] = None
+    error: Optional[str] = None
+
+
+#: A :func:`load_point` memo: checkpoint path -> (file stamp, result).
+PointCache = Dict[Path, Tuple[Tuple[Any, ...], Tuple[Any, Optional[str]]]]
+
+
+def load_point(
+    out_dir: Union[str, Path],
+    header: Mapping[str, Any],
+    point_index: int,
+    cache: Optional[PointCache] = None,
+) -> Tuple[Optional[List[RunSummary]], Optional[str]]:
+    """A point's checkpointed summaries, or ``None`` and the reason.
+
+    The one test of "done": the checkpoint must exist, unpickle, and match
+    the plan ``header``'s fingerprint and the point's index, label and run
+    indices.  A missing file gives ``(None, None)``; a bad one ``(None,
+    reason)``.  With a ``cache``, a file whose inode, mtime and size are
+    unchanged since it was last judged is not read again.
+    """
+    path = point_checkpoint_path(out_dir, point_index)
+    try:
+        stat = path.stat()
+    except FileNotFoundError:
+        return None, None
+    stamp = (header["fingerprint"], stat.st_ino, stat.st_mtime_ns, stat.st_size)
+    if cache is not None and path in cache and cache[path][0] == stamp:
+        return cache[path][1]
+    try:
+        loaded = _load_checkpoint(path, header, point_index), None
+    except ManifestError as error:
+        loaded = None, str(error)
+    if cache is not None:
+        cache[path] = (stamp, loaded)
+    return loaded
+
+
+def point_states(
+    out_dir: Union[str, Path], header: Mapping[str, Any], cache: Optional[PointCache] = None
+) -> List[PointState]:
+    """Every point's state, read from the run directory alone.
+
+    A point is ``done`` only when :func:`load_point` accepts its checkpoint
+    against the directory's plan ``header``; otherwise its live lease
+    decides between ``leased``, ``orphaned`` (expired) and ``unclaimed``.
+    Long-lived readers (``serve``, ``status --watch``) pass one ``cache``
+    across calls, so each checkpoint is unpickled once, not once per poll.
+    """
+    out = Path(out_dir)
+    leases = _lease_index(out)
+    states = []
+    for index, label in enumerate(header["labels"]):
+        entry = leases.get(index)
+        lease = _parse_lease(entry[1], index, entry[0], warn=False) if entry else None
+        summaries, error = load_point(out, header, index, cache)
+        if summaries is not None:
+            state = "done"
+        elif lease is None:
+            state = "unclaimed"
+        elif lease.expired():
+            state = "orphaned"
+        else:
+            state = "leased"
+        states.append(PointState(index, label, state, lease, summaries, error))
+    return states
+
+
 # ------------------------------------------------------------------ status
 @dataclass
 class StealStatus:
-    """Aggregate progress of a work-stealing run directory.
+    """Aggregate progress of a run directory.
 
     ``stolen`` counts points whose live lease generation is above zero --
     points that changed hands at least once, completed or not.
-    ``orphaned`` are points whose lease expired with no checkpoint:
+    ``orphaned`` are points whose lease expired with no valid checkpoint:
     claimable by the next worker.  ``workers`` holds one row per worker
-    manifest found.
+    manifest found; ``points`` the per-point states the counts come from.
     """
 
     points_total: int
@@ -1046,30 +1005,23 @@ class StealStatus:
     experiment: Optional[str]
     plan_key: Optional[str]
     workers: List[Dict[str, Any]] = field(default_factory=list)
+    points: List[PointState] = field(default_factory=list)
+
+    def headline(self) -> str:
+        """The one-line summary ``status`` and ``serve`` both print."""
+        return (
+            f"{self.experiment or self.plan_key or '?'}: {self.done}/{self.points_total} "
+            f"points done ({self.stolen} stolen), {self.leased} leased, "
+            f"{self.orphaned} orphaned, {self.unclaimed} unclaimed"
+        )
 
 
-def steal_status(out_dir: Union[str, Path]) -> StealStatus:
-    """Read a work-stealing directory's progress from its artifacts alone."""
+def steal_status(out_dir: Union[str, Path], cache: Optional[PointCache] = None) -> StealStatus:
+    """Read a run directory's progress from its artifacts alone (``cache``: see :func:`point_states`)."""
     out = Path(out_dir)
     header = read_plan_header(out)
-    labels = header["labels"]
-    done = leased = orphaned = unclaimed = stolen = 0
-    leases = _lease_index(out)
-    for point_index in range(len(labels)):
-        entry = leases.get(point_index)
-        lease = (
-            _parse_lease(entry[1], point_index, entry[0], warn=False) if entry else None
-        )
-        if lease is not None and lease.generation > 0:
-            stolen += 1
-        if point_checkpoint_path(out, point_index).exists():
-            done += 1
-        elif lease is None:
-            unclaimed += 1
-        elif lease.expired():
-            orphaned += 1
-        else:
-            leased += 1
+    points = point_states(out, header, cache)
+    counts = Counter(point.state for point in points)
     workers = []
     for path in find_worker_manifests(out):
         try:
@@ -1088,56 +1040,51 @@ def steal_status(out_dir: Union[str, Path]) -> StealStatus:
             row["telemetry"] = telemetry
         workers.append(row)
     return StealStatus(
-        points_total=len(labels),
-        done=done,
-        leased=leased,
-        orphaned=orphaned,
-        unclaimed=unclaimed,
-        stolen=stolen,
+        points_total=len(points),
+        done=counts["done"],
+        leased=counts["leased"],
+        orphaned=counts["orphaned"],
+        unclaimed=counts["unclaimed"],
+        stolen=sum(1 for point in points if point.lease is not None and point.lease.generation > 0),
         runs_total=header.get("runs_total", 0),
         experiment=header.get("experiment"),
         plan_key=header.get("plan_key"),
         workers=workers,
+        points=points,
     )
 
 
 # ------------------------------------------------------------------- merge
 def merge_stolen(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
-    """Fold a work-stealing run into the single-host aggregates.
+    """Fold a run directory into the single-host aggregates.
 
-    Validates the plan header against ``plan`` (named-field provenance
-    errors first, then the fingerprint), requires every point's checkpoint,
-    and re-folds each point's summaries in run-index order -- the identical
-    code path and therefore identical bits to
-    :func:`~repro.harness.distributed.run_plan`, no matter which workers
-    computed, stole or recomputed which points.
+    The one batch merge, for every mix of static shards and stealing
+    workers.  Validates the plan header against ``plan`` (named-field
+    provenance errors first, then the fingerprint), requires every point to
+    be ``done`` by :func:`point_states`, and re-folds each point's summaries
+    in run-index order -- the identical code path and therefore identical
+    bits to :func:`~repro.harness.distributed.run_plan`, no matter which
+    workers computed, stole or recomputed which points.
     """
     out = Path(out_dir)
     header = read_plan_header(out)
-    check_merge_provenance(header, plan, out, what="work-stealing artifacts")
-    if list(header["labels"]) != [point.label for point in plan.points]:
-        raise ManifestError(
-            f"plan header in {out} lists different point labels than the merge "
-            f"plan; rebuild the merge plan with the same experiment and parameters"
-        )
-    aggregates: Dict[str, RunAggregate] = {}
-    unfinished: List[str] = []
-    for point_index, point in enumerate(plan.points):
-        cpath = point_checkpoint_path(out, point_index)
-        if not cpath.exists():
-            unfinished.append(point.label)
-            continue
-        summaries = _load_checkpoint(cpath, plan, _WHOLE, point_index)
-        aggregates[point.label] = distributed.fold_point(
-            plan, point_index, ((summary.index, summary) for summary in summaries)
-        )
+    check_merge_provenance(header, plan, out)
+    points = point_states(out, header)
+    unfinished = [point for point in points if point.state != "done"]
     if unfinished:
-        status = steal_status(out)
+        counts = Counter(point.state for point in unfinished)
+        errors = "".join(f"; {point.error}" for point in unfinished if point.error)
         raise ManifestError(
-            f"work-stealing run in {out} is incomplete: points {unfinished} have "
-            f"no checkpoint yet ({status.leased} leased, {status.orphaned} "
-            f"orphaned, {status.unclaimed} unclaimed); run another worker over "
-            f"this directory to finish them before merging"
+            f"run in {out} is incomplete: points {[point.label for point in unfinished]} "
+            f"have no valid checkpoint yet ({counts['leased']} leased, {counts['orphaned']} "
+            f"orphaned, {counts['unclaimed']} unclaimed){errors}; run any worker over "
+            f"this directory, or re-run the shard that owns them, before merging"
         )
-    worker_count = len(find_worker_manifests(out))
-    return MergedSweep(plan=plan, shard_count=max(worker_count, 1), aggregates=aggregates)
+    aggregates = {
+        point.label: distributed.fold_point(
+            plan, point.index, ((summary.index, summary) for summary in point.summaries)
+        )
+        for point in points
+    }
+    shard_count = max(len(find_worker_manifests(out)), 1)
+    return MergedSweep(plan=plan, shard_count=shard_count, aggregates=aggregates)

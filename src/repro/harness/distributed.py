@@ -1,26 +1,26 @@
-"""Sharded sweep execution: split one sweep over machines, checkpoint, merge.
+"""Sweep plans, static shards, checkpoints and the canonical per-point fold.
 
 :class:`~repro.harness.aggregate.RunAggregate` made cross-host reduction
 *possible*; this module makes it *practical*.  A :class:`SweepPlan` is the
 deterministic enumeration of every run of a sweep (every point of the sweep
 under every seed).  Any host can execute one :class:`ShardSpec` worth of that
-plan with :func:`run_shard` -- writing a versioned JSON manifest plus one
-pickled checkpoint per completed sweep point, so a killed shard resumes from
-its last checkpoint instead of restarting -- and :func:`merge_shards` folds
-the per-shard outputs back into aggregates *bit-identical* to the single-host
-execution of the same plan.
+plan with :func:`run_shard` -- the points whose index is ``i-1`` modulo
+``k``, claimed without leases by a worker named ``shard-IofK`` of the one
+scheduler in :mod:`~repro.harness.coordinator` -- and
+:func:`~repro.harness.coordinator.merge_stolen` folds the directory back
+into aggregates *bit-identical* to the single-host execution of the plan.
 
 How bit-identity is achieved
 ----------------------------
-Shards split the plan round-robin by run index, and every run keeps the
+Every checkpoint covers one whole sweep point, and every run keeps the
 summary index (and therefore the ``SeedSequence(entropy, spawn_key=(index,))``
-sketch priority) it would have had in the unsharded execution -- shard
-boundaries never change any per-run value.  Merging does **not** use the
+sketch priority) it would have had in the unsharded execution -- who ran a
+point never changes any per-run value.  Merging does **not** use the
 Chan-style :meth:`~repro.harness.aggregate.StreamingStats.merge` (floating
 point makes a pairwise moment merge differ from a sequential fold in the last
 bits); instead the checkpoints carry the raw per-run
 :class:`~repro.harness.aggregate.RunSummary` objects (~1 KB each), and
-:func:`merge_shards` re-folds them in run-index order through the exact code
+:func:`fold_point` re-folds them in run-index order through the exact code
 path (:meth:`RunAggregate.from_summaries`) the single-host sweep uses.  The
 streaming ``merge`` remains the right tool for *approximate* online
 reduction; the checkpoint re-fold is what makes ``shard + merge == sweep``
@@ -36,14 +36,10 @@ the whole batch -- what :func:`~repro.harness.sweep.sweep` and
 :func:`plan_sweep` and :func:`plan_grid` pick the scheme matching their
 single-host counterpart, so either route merges to the bit-identical result.
 
-On-disk layout (all under the ``--out`` directory)::
-
-    shard-2of4.json            manifest: version, plan fingerprint, progress
-    shard-2of4-point-0003.pkl  checkpoint: RunSummary list for point 3
-
-Every artifact embeds :data:`MANIFEST_VERSION` and the plan's fingerprint;
-:func:`merge_shards` refuses mixed versions, mixed plans, missing shards and
-incomplete shards with errors that say which file is at fault.
+Static shards and work-stealing workers share one on-disk layout (see
+:mod:`~repro.harness.coordinator`).  Every artifact embeds
+:data:`MANIFEST_VERSION` and the plan's fingerprint, and readers refuse
+other versions and other plans with errors that name the file at fault.
 """
 
 from __future__ import annotations
@@ -54,9 +50,22 @@ import os
 import pickle
 import re
 import threading
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .aggregate import (
     SKETCH_CAPACITY,
@@ -69,6 +78,9 @@ from .parallel import run_many, worker_pool
 from .runner import ExperimentConfig
 from .sweep import SweepPoint, SweepResult, grid_points, variation_points
 
+if TYPE_CHECKING:
+    from .coordinator import StealRunResult
+
 #: Version stamped into every manifest and checkpoint this module writes.
 #: Readers reject any other version, so stale artifacts fail loudly instead
 #: of merging garbage.  Version 2 added the ``delay_models`` / ``scenarios``
@@ -76,14 +88,14 @@ from .sweep import SweepPoint, SweepResult, grid_points, variation_points
 #: field, changing every fingerprint), so version-1 artifacts cannot merge
 #: with version-2 ones anyway.  Version 3 added the work-stealing scheduler
 #: (:mod:`~repro.harness.coordinator`): manifests and checkpoints record
-#: schedule/worker/lease provenance, and steal directories gained the
-#: ``plan.json`` header and per-point lease files.
-MANIFEST_VERSION = 3
+#: worker/lease provenance, and steal directories gained the ``plan.json``
+#: header and per-point lease files.  Version 4 gave static shards that same
+#: layout: ``shard-IofK.json`` manifests and per-shard checkpoints are gone,
+#: and directories holding them are refused by name.
+MANIFEST_VERSION = 4
 
 #: The two run-numbering schemes a plan can use (see the module docstring).
 INDEXING_SCHEMES = ("per-point", "global")
-
-_MANIFEST_RE = re.compile(r"^shard-(\d+)of(\d+)\.json$")
 
 
 class ShardError(ValueError):
@@ -120,9 +132,9 @@ class ShardSpec:
             )
         return cls(index=int(match.group(1)), count=int(match.group(2)))
 
-    def owns(self, position: int) -> bool:
-        """Whether this shard executes the run at batch ``position``."""
-        return position % self.count == self.index - 1
+    def owns(self, point_index: int) -> bool:
+        """Whether this shard is pre-assigned sweep point ``point_index``."""
+        return point_index % self.count == self.index - 1
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
@@ -196,15 +208,14 @@ class SweepPlan:
 
     def point_indices(self, point_index: int) -> List[int]:
         """All summary indices of one point, in fold order."""
-        return [self.run_index(point_index, si) for si in range(len(self.seeds))]
+        return point_run_indices(self.indexing, len(self.seeds), point_index)
 
     def delay_models(self) -> List[str]:
         """Sorted unique delay-model descriptions across the plan's points.
 
-        Recorded in every shard manifest so :func:`merge_shards` can refuse
-        shards produced under a different delay model with an error that
-        names the field (the fingerprint would also catch it, but
-        anonymously).
+        Recorded in the plan header so a merge can refuse checkpoints
+        produced under a different delay model with an error that names the
+        field (the fingerprint would also catch it, but anonymously).
         """
         return sorted({point.config.delay_model.describe() for point in self.points})
 
@@ -214,7 +225,7 @@ class SweepPlan:
         Points without a scenario contribute ``"none"``.  Besides powering
         the named-field merge refusal (like :meth:`delay_models`), this is
         what lets ``python -m repro merge`` rebuild a scenario-restricted
-        e9 plan from the manifests alone.
+        e9 plan from the plan header alone.
         """
         return sorted(
             {
@@ -222,17 +233,6 @@ class SweepPlan:
                 for point in self.points
             }
         )
-
-    def owned_positions(self, point_index: int, shard: ShardSpec) -> List[int]:
-        """The seed positions of ``point_index`` that ``shard`` executes.
-
-        Ownership is round-robin over the *batch* position (point-major
-        enumeration), so shards stay balanced even when one point dominates,
-        and is independent of the indexing scheme.
-        """
-        base = point_index * len(self.seeds)
-        first = (shard.index - 1 - base) % shard.count
-        return list(range(first, len(self.seeds), shard.count))
 
     def fingerprint(self) -> str:
         """A digest pinning everything that affects sharded results.
@@ -242,8 +242,8 @@ class SweepPlan:
         full configuration ``repr`` (all the config components have stable,
         value-only reprs), and this host's :func:`~.aggregate.priority_backend`
         -- a numpy host and a numpy-free host derive different sketch
-        priorities for the same run index, so their shards must not merge.
-        Two plans with equal fingerprints produce interchangeable shards;
+        priorities for the same run index, so their checkpoints must not merge.
+        Two plans with equal fingerprints produce interchangeable checkpoints;
         everything this module writes or reads is checked against it.
         """
         payload = json.dumps(
@@ -350,57 +350,40 @@ def run_plan(
     return aggregates
 
 
+def point_run_indices(indexing: str, seed_count: int, point_index: int) -> List[int]:
+    """A point's summary indices in fold order, from what ``plan.json`` records."""
+    first = point_index * seed_count if indexing == "global" else 0
+    return list(range(first, first + seed_count))
+
+
 # ------------------------------------------------------------- artifact IO
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write ``path`` via a same-directory temp file + rename, never partially.
 
     The temp name embeds the writer's pid and thread id: concurrent writers
-    of the *same* path (two work-stealing workers racing to checkpoint a
-    stolen point with bit-identical bytes) then each rename their own whole
-    file, so readers see one complete version or the other, never a tear.
+    of the *same* path (two workers racing to checkpoint one point with
+    bit-identical summaries) then each rename their own whole file, so
+    readers see one complete version or the other, never a tear.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
 
 
-def manifest_path(out_dir: Union[str, Path], shard: ShardSpec) -> Path:
-    """Where the manifest of ``shard`` lives under ``out_dir``."""
-    return Path(out_dir) / f"shard-{shard.index}of{shard.count}.json"
+def _load_checkpoint(path: Path, header: Mapping[str, Any], point_index: int) -> List[RunSummary]:
+    """Read one whole-point checkpoint and verify it belongs to the plan and point.
 
-
-def checkpoint_path(out_dir: Union[str, Path], shard: ShardSpec, point_index: int) -> Path:
-    """Where the checkpoint of one completed sweep point lives."""
-    return Path(out_dir) / f"shard-{shard.index}of{shard.count}-point-{point_index:04d}.pkl"
-
-
-def _load_manifest(path: Path) -> Dict[str, Any]:
-    """Read and structurally validate one manifest file."""
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, ValueError) as error:
-        raise ManifestError(f"malformed manifest {path}: {error}") from error
-    if not isinstance(raw, dict) or "version" not in raw:
-        raise ManifestError(f"malformed manifest {path}: not a manifest object")
-    if raw["version"] != MANIFEST_VERSION:
-        raise ManifestError(
-            f"manifest {path} has version {raw['version']!r} but this build reads "
-            f"version {MANIFEST_VERSION}; re-run its shard with a matching build"
-        )
-    required = ("fingerprint", "shard_index", "shard_count", "points", "seeds")
-    missing = [key for key in required if key not in raw]
-    if missing:
-        raise ManifestError(f"malformed manifest {path}: missing fields {missing}")
-    return raw
-
-
-def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index: int) -> List[RunSummary]:
-    """Read one checkpoint and verify it belongs to ``plan``/``shard``/point."""
+    ``header`` is the run directory's ``plan.json`` (fingerprint, labels,
+    indexing, seeds): the checkpoint must carry the plan's fingerprint, the
+    point's index and label, and exactly the point's run indices in fold
+    order.  The scheduler, ``status``, ``serve`` and the merge all judge a
+    checkpoint this one way, with or without the plan object at hand.
+    """
     try:
         with open(path, "rb") as handle:
             raw = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
-        raise ManifestError(f"unreadable checkpoint {path}: {error}") from error
+    except Exception as error:  # garbage bytes can fail to unpickle in any way
+        raise ManifestError(f"unreadable checkpoint {path}: {error!r}") from error
     if not isinstance(raw, dict):
         raise ManifestError(f"malformed checkpoint {path}: not a checkpoint object")
     if raw.get("version") != MANIFEST_VERSION:
@@ -408,24 +391,23 @@ def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index:
             f"checkpoint {path} has version {raw.get('version')!r} but this build "
             f"reads version {MANIFEST_VERSION}"
         )
-    if raw.get("fingerprint") != plan.fingerprint():
+    if raw.get("fingerprint") != header["fingerprint"]:
         raise ManifestError(
             f"checkpoint {path} belongs to a different plan "
             f"(fingerprint {raw.get('fingerprint')!r})"
         )
-    expected_indices = [
-        plan.run_index(point_index, si) for si in plan.owned_positions(point_index, shard)
-    ]
+    label = header["labels"][point_index]
+    indices = point_run_indices(header["indexing"], len(header["seeds"]), point_index)
     summaries = raw.get("summaries")
     if (
         raw.get("point_index") != point_index
-        or raw.get("label") != plan.points[point_index].label
+        or raw.get("label") != label
         or not isinstance(summaries, list)
-        or [summary.index for summary in summaries] != expected_indices
+        or [getattr(summary, "index", None) for summary in summaries] != indices
     ):
         raise ManifestError(
-            f"checkpoint {path} does not cover the expected runs of point "
-            f"{point_index} ({plan.points[point_index].label!r}) for shard {shard}"
+            f"checkpoint {path} does not hold the runs {indices[0]}..{indices[-1]} "
+            f"of point {point_index} ({label!r})"
         )
     return summaries
 
@@ -433,7 +415,6 @@ def _load_checkpoint(path: Path, plan: SweepPlan, shard: ShardSpec, point_index:
 def _write_checkpoint(
     path: Path,
     plan: SweepPlan,
-    shard: ShardSpec,
     point_index: int,
     summaries: List[RunSummary],
     provenance: Optional[Mapping[str, Any]] = None,
@@ -441,7 +422,6 @@ def _write_checkpoint(
     payload = {
         "version": MANIFEST_VERSION,
         "fingerprint": plan.fingerprint(),
-        "shard": str(shard),
         "point_index": point_index,
         "label": plan.points[point_index].label,
         "summaries": summaries,
@@ -452,51 +432,42 @@ def _write_checkpoint(
 
 
 # ------------------------------------------------------------ shard running
-@dataclass
-class ShardRunResult:
-    """What :func:`run_shard` did: which points ran, resumed or were skipped."""
-
-    shard: ShardSpec
-    out_dir: Path
-    manifest: Path
-    executed: List[str] = field(default_factory=list)
-    resumed: List[str] = field(default_factory=list)
-    skipped: List[str] = field(default_factory=list)
-    runs_executed: int = 0
-    runs_resumed: int = 0
-
-
 def run_shard(
     plan: SweepPlan,
     shard: ShardSpec,
     out_dir: Union[str, Path],
     max_workers: Optional[int] = None,
     exec_mode: Optional[str] = None,
-) -> ShardRunResult:
-    """Execute this shard's slice of the plan, checkpointing per sweep point.
+) -> "StealRunResult":
+    """Execute this shard's pre-assigned points of the plan, one checkpoint each.
 
-    Completed points found on disk (from a previous, possibly killed,
-    invocation) are validated and reused instead of recomputed; corrupt or
-    foreign checkpoints are recomputed with a warning.  The manifest is
-    rewritten atomically after every point, so at any kill point the
-    directory holds a resumable prefix of the shard's work.
-
-    Static sharding is the degenerate scheduler of the work-stealing claim
-    loop (:mod:`~repro.harness.coordinator`): ownership is fixed up front by
-    round-robin run index, every claim trivially succeeds, and nothing is
-    ever stolen.  For dynamic scheduling on heterogeneous fleets, see
-    :func:`~repro.harness.coordinator.run_work_stealing`.
+    Shard ``i/k`` is the worker ``shard-IofK`` of the one scheduler
+    (:class:`~repro.harness.coordinator.WorkStealingScheduler`): it takes
+    every point whose index is ``i-1`` modulo ``k`` without leases and never
+    steals; with more shards than points the surplus shards own nothing,
+    and a warning says so.  Valid checkpoints already on disk -- from a
+    killed invocation, or from any other worker -- are reused at once;
+    corrupt or foreign ones are recomputed with a warning.  Returns the worker's
+    :class:`~repro.harness.coordinator.StealRunResult`.
     """
-    from .coordinator import StaticShardScheduler, drive_claims
+    from .coordinator import WorkStealingScheduler, drive_claims
 
-    scheduler = StaticShardScheduler(plan, shard, Path(out_dir))
+    points = len(plan.points)
+    if shard.count > points:
+        warnings.warn(
+            f"shard {shard}: a shard owns whole points and this plan has only "
+            f"{points}, so {shard.count - points} of the {shard.count} shards get "
+            f"none; run at most {points} shards",
+            RuntimeWarning,
+        )
+    scheduler = WorkStealingScheduler(plan, Path(out_dir), shard=shard)
     return drive_claims(plan, scheduler, max_workers, exec_mode=exec_mode)
 
 
 # ----------------------------------------------------------------- merging
 @dataclass
 class MergedSweep:
-    """The single-host-equivalent outcome reassembled from shard artifacts."""
+    """The single-host-equivalent outcome reassembled from a run directory."""
 
     plan: SweepPlan
     shard_count: int
@@ -516,43 +487,14 @@ class MergedSweep:
         return result
 
 
-def find_manifests(out_dir: Union[str, Path]) -> List[Path]:
-    """All shard manifest files under ``out_dir``, in shard order."""
-    out = Path(out_dir)
-    if not out.is_dir():
-        raise ManifestError(f"{out} is not a directory")
-    found = [path for path in out.iterdir() if _MANIFEST_RE.match(path.name)]
-    return sorted(found, key=lambda path: int(_MANIFEST_RE.match(path.name).group(1)))
-
-
-def read_manifests(out_dir: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load and validate every shard manifest in ``out_dir`` (at least one)."""
-    paths = find_manifests(out_dir)
-    if not paths:
-        raise ManifestError(f"no shard manifests (shard-IofK.json) found in {Path(out_dir)}")
-    manifests = [_load_manifest(path) for path in paths]
-    first = manifests[0]
-    for manifest, path in zip(manifests, paths):
-        for key in ("fingerprint", "shard_count", "experiment", "indexing", "delay_models", "scenarios"):
-            if manifest.get(key) != first.get(key):
-                raise ManifestError(
-                    f"{path} disagrees with {paths[0]} on {key!r} "
-                    f"({manifest.get(key)!r} != {first.get(key)!r}); "
-                    f"these shards come from different runs"
-                )
-    return manifests
-
-
-def check_merge_provenance(
-    recorded: Mapping[str, Any], plan: SweepPlan, out: Path, what: str = "shards"
-) -> None:
+def check_merge_provenance(recorded: Mapping[str, Any], plan: SweepPlan, out: Path) -> None:
     """Refuse merging artifacts whose recorded provenance contradicts ``plan``.
 
-    Shared by :func:`merge_shards` and the work-stealing
-    :func:`~repro.harness.coordinator.merge_stolen`.  The named provenance
-    fields come first: a delay-model or scenario mismatch would also trip
-    the fingerprint check below, but with an anonymous digest -- the
-    named-field error says *what* differs.
+    Shared by :func:`~repro.harness.coordinator.merge_stolen` and the
+    observability layer's :class:`~repro.obs.merge.IncrementalMerger`.  The
+    named provenance fields come first: a delay-model or scenario mismatch
+    would also trip the fingerprint check below, but with an anonymous
+    digest -- the named-field error says *what* differs.
     """
     for field_name, plan_value in (
         ("delay_models", plan.delay_models()),
@@ -561,22 +503,22 @@ def check_merge_provenance(
         value = recorded.get(field_name)
         if value is not None and list(value) != plan_value:
             raise ManifestError(
-                f"{what} in {out} disagree with the merge plan on {field_name!r}: "
-                f"the {what} were produced under {value} but the plan has "
-                f"{plan_value}; {what} produced under different delay models or "
-                f"fault scenarios cannot be merged"
+                f"artifacts in {out} disagree with the merge plan on {field_name!r}: "
+                f"they were produced under {value} but the plan has {plan_value}; "
+                f"artifacts produced under different delay models or fault "
+                f"scenarios cannot be merged"
             )
     if recorded["fingerprint"] != plan.fingerprint():
         hint = ""
         recorded_backend = recorded.get("priority_backend")
         if recorded_backend and recorded_backend != priority_backend():
             hint = (
-                f" (the {what} were produced with the {recorded_backend!r} run-priority "
+                f" (the artifacts were produced with the {recorded_backend!r} run-priority "
                 f"backend but this host uses {priority_backend()!r}; numpy availability "
                 f"must match between the worker hosts and the merge host)"
             )
         raise ManifestError(
-            f"{what} in {out} were produced by a different plan (fingerprint "
+            f"artifacts in {out} were produced by a different plan (fingerprint "
             f"{recorded['fingerprint'][:12]}... != {plan.fingerprint()[:12]}...); "
             f"rebuild the merge plan with the same experiment, seeds and parameters"
             + hint
@@ -591,11 +533,11 @@ def fold_point(
     THE canonical per-point fold: sort by run index, require exactly the
     plan's indices for the point, and feed
     :meth:`~repro.harness.aggregate.RunAggregate.from_summaries` in that
-    order.  :func:`merge_shards`, the work-stealing
-    :func:`~repro.harness.coordinator.merge_stolen`, and the observability
-    layer's :class:`~repro.obs.merge.IncrementalMerger` all fold through
-    this one function, which is what makes their aggregates bit-identical
-    to :func:`run_plan` -- and to each other -- by construction.
+    order.  The batch :func:`~repro.harness.coordinator.merge_stolen` and
+    the observability layer's :class:`~repro.obs.merge.IncrementalMerger`
+    both fold through this one function, which is what makes their
+    aggregates bit-identical to :func:`run_plan` -- and to each other -- by
+    construction.
     """
     ordered = sorted(pairs, key=lambda pair: pair[0])
     indices = [index for index, _ in ordered]
@@ -607,65 +549,3 @@ def fold_point(
     return RunAggregate.from_summaries(
         (summary for _, summary in ordered), capacity=plan.capacity
     )
-
-
-def merge_shards(out_dir: Union[str, Path], plan: SweepPlan) -> MergedSweep:
-    """Fold every shard under ``out_dir`` into the single-host aggregates.
-
-    Validates the full covering first -- consistent manifest versions and
-    fingerprints, shards 1..k all present and complete -- then re-folds each
-    point's summaries in run-index order, producing aggregates bit-identical
-    to :func:`run_plan` of the same plan on one host.
-    """
-    out = Path(out_dir)
-    manifests = read_manifests(out)
-    first = manifests[0]
-    check_merge_provenance(first, plan, out)
-    count = first["shard_count"]
-    present = sorted(manifest["shard_index"] for manifest in manifests)
-    expected = list(range(1, count + 1))
-    if present != expected:
-        missing = sorted(set(expected) - set(present))
-        duplicated = sorted({index for index in present if present.count(index) > 1})
-        detail = []
-        if missing:
-            detail.append(f"missing shards {missing}")
-        if duplicated:
-            detail.append(f"duplicated shards {duplicated}")
-        raise ManifestError(
-            f"{out} does not hold a complete 1..{count} shard covering: {'; '.join(detail)}"
-        )
-
-    per_point: Dict[int, List[Tuple[int, RunSummary]]] = {
-        pi: [] for pi in range(len(plan.points))
-    }
-    for manifest in manifests:
-        shard = ShardSpec(index=manifest["shard_index"], count=count)
-        # Completeness is judged against the *plan*, not the manifest's own
-        # records: a killed shard's manifest simply lacks records for the
-        # points it never reached.
-        incomplete = [
-            plan.points[point_index].label
-            for point_index in range(len(plan.points))
-            if plan.owned_positions(point_index, shard)
-            and not manifest["points"].get(str(point_index), {}).get("checkpoint")
-        ]
-        if incomplete:
-            raise ManifestError(
-                f"shard {shard} is incomplete (points {incomplete} have no "
-                f"checkpoint yet); resume it by re-running its original run "
-                f"command before merging"
-            )
-        for point_index in range(len(plan.points)):
-            if not plan.owned_positions(point_index, shard):
-                continue
-            cpath = checkpoint_path(out, shard, point_index)
-            summaries = _load_checkpoint(cpath, plan, shard, point_index)
-            per_point[point_index].extend(
-                (summary.index, summary) for summary in summaries
-            )
-
-    aggregates: Dict[str, RunAggregate] = {}
-    for point_index, point in enumerate(plan.points):
-        aggregates[point.label] = fold_point(plan, point_index, per_point[point_index])
-    return MergedSweep(plan=plan, shard_count=count, aggregates=aggregates)

@@ -59,7 +59,7 @@ class RunMetrics:
     messages_omitted: int = 0
     messages_duplicated: int = 0
     messages_corrupted: int = 0
-    #: Environment provenance recorded for reports and shard manifests: the
+    #: Environment provenance recorded for reports and plan headers: the
     #: delay model's ``describe()`` string and the fault scenario's name
     #: ("none" without one).  Strings, so they never enter numeric summaries.
     delay_model: str = ""

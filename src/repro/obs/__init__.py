@@ -9,7 +9,7 @@ workload instead of a batch job:
 - :mod:`repro.obs.merge` -- :class:`~repro.obs.merge.IncrementalMerger`,
   which folds per-point checkpoints as they land and guarantees the
   partial aggregate of a completed prefix is bit-identical to
-  :func:`~repro.harness.distributed.merge_shards` over the same points.
+  :func:`~repro.harness.coordinator.merge_stolen` over the same points.
 - :mod:`repro.obs.serve` -- the ``python -m repro serve`` HTTP service
   (``/status``, ``/progress``, ``/workers``, ``/aggregate``) and the
   text renderer shared with ``python -m repro status --watch``.

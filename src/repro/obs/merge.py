@@ -1,49 +1,33 @@
 """Incremental merging: fold per-point checkpoints as they land.
 
-:func:`~repro.harness.distributed.merge_shards` and
-:func:`~repro.harness.coordinator.merge_stolen` are batch operations --
-they refuse to produce anything until every point of the plan is
-checkpointed.  :class:`IncrementalMerger` is their streaming counterpart
-for the observability layer: each :meth:`~IncrementalMerger.poll` scans
-the run directory, folds every *newly completed* point, and leaves the
-rest pending, so a live ``/aggregate`` endpoint can report the finished
-prefix of an hours-long sweep.
+:func:`~repro.harness.coordinator.merge_stolen` is a batch operation -- it
+refuses to produce anything until every point of the plan is
+checkpointed.  :class:`IncrementalMerger` is its streaming counterpart
+for the observability layer: each :meth:`~IncrementalMerger.poll` reads
+the run directory's point states, folds every *newly completed* point,
+and leaves the rest pending, so a live ``/aggregate`` endpoint can report
+the finished prefix of an hours-long sweep.
 
 **Bit-identity guarantee.** Every point is folded through
 :func:`~repro.harness.distributed.fold_point` -- the same run-index-
-ordered fold used by the batch mergers and by single-host
-:func:`~repro.harness.distributed.run_plan`.  A point's aggregate never
-depends on any other point, so the partial aggregates over any completed
-subset are bit-identical to what ``merge_shards`` / ``merge_stolen``
-produce for those points once the whole sweep finishes (the bit-identity
-test sweeps k in {1, 3, 7} over every completed prefix).
-
-Both run-directory flavours are understood: work-stealing directories
-(``plan.json`` + whole-point ``point-NNNN.pkl`` checkpoints) and static
-shard directories (``shard-IofK.json`` manifests + per-shard point
-checkpoints, where a point completes when all shards owning runs of it
-have checkpointed it).
+ordered fold used by the batch merge and by single-host
+:func:`~repro.harness.distributed.run_plan` -- and a point counts as
+completed by the same :func:`~repro.harness.coordinator.point_states`
+reader the batch merge uses.  A point's aggregate never depends on any
+other point, so the partial aggregates over any completed subset are
+bit-identical to what ``merge_stolen`` produces for those points once the
+whole sweep finishes (the bit-identity test sweeps static shard counts k
+in {1, 3, 7} over every completed prefix).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..harness import coordinator as _coord
-from ..harness.aggregate import RunAggregate, RunSummary
-from ..harness.distributed import (
-    ManifestError,
-    MergedSweep,
-    ShardSpec,
-    SweepPlan,
-    _load_checkpoint,
-    _load_manifest,
-    check_merge_provenance,
-    checkpoint_path,
-    find_manifests,
-    fold_point,
-)
+from ..harness.aggregate import RunAggregate
+from ..harness.distributed import ManifestError, MergedSweep, SweepPlan, check_merge_provenance, fold_point
 
 
 class IncrementalMerger:
@@ -52,23 +36,28 @@ class IncrementalMerger:
     Call :meth:`poll` whenever fresher data is wanted (the serve endpoints
     poll on each request); it returns the labels folded *by that call*.
     Folded aggregates accumulate in :attr:`aggregates`; a point that has
-    not finished -- or whose checkpoint is momentarily unreadable -- simply
-    stays pending until a later poll.  Provenance is enforced the same way
-    the batch mergers enforce it: artifacts from a different plan raise
+    not finished -- or whose checkpoint is unreadable -- simply stays
+    pending until a later poll.  Provenance is enforced the same way the
+    batch merge enforces it: artifacts from a different plan raise
     :class:`~repro.harness.distributed.ManifestError` rather than fold.
     """
 
-    def __init__(self, out_dir: Union[str, Path], plan: SweepPlan) -> None:
+    def __init__(
+        self,
+        out_dir: Union[str, Path],
+        plan: SweepPlan,
+        cache: Optional[_coord.PointCache] = None,
+    ) -> None:
         self.out = Path(out_dir)
         self.plan = plan
+        #: Checkpoints already judged, so a poll re-reads only changed files
+        #: (shareable with other readers of the same directory).
+        self._cache: _coord.PointCache = {} if cache is None else cache
         #: Folded aggregates by point label, in completion order.
         self.aggregates: Dict[str, RunAggregate] = {}
-        self._done: Dict[int, bool] = {}
-        #: ``steal`` or ``static``, discovered from the directory's
-        #: artifacts on first poll (a not-yet-started directory has neither).
-        self.mode: Optional[str] = None
-        self._shard_count: Optional[int] = None
-        #: Last per-point load failure, for diagnostics (a corrupt or torn
+        #: The plan header, read and checked on the first poll that finds it.
+        self._header: Optional[Dict[str, Any]] = None
+        #: Last per-point load failure, for diagnostics (a corrupt
         #: checkpoint leaves its point pending rather than raising).
         self.last_error: Optional[str] = None
 
@@ -91,90 +80,29 @@ class IncrementalMerger:
                 f"run in {self.out} is incomplete: points {self.pending()} have "
                 f"not been folded yet; keep polling (or run more workers)"
             )
-        shard_count = self._shard_count if self._shard_count is not None else 1
         return MergedSweep(
             plan=self.plan,
-            shard_count=shard_count,
+            shard_count=max(len(_coord.find_worker_manifests(self.out)), 1),
             aggregates={point.label: self.aggregates[point.label] for point in self.plan.points},
         )
 
     # ---------------------------------------------------------------- polls
     def poll(self) -> List[str]:
         """Fold every newly completed point; return their labels."""
-        if self.mode is None:
-            self._detect_mode()
-        if self.mode == "steal":
-            return self._poll_steal()
-        if self.mode == "static":
-            return self._poll_static()
-        return []
-
-    def _detect_mode(self) -> None:
-        if _coord.is_steal_dir(self.out):
-            header = _coord.read_plan_header(self.out)
-            check_merge_provenance(
-                header, self.plan, self.out, what="work-stealing artifacts"
+        if self._header is None:
+            header = _coord.read_plan_header(self.out, missing_ok=True)
+            if header is None:
+                return []  # no worker has started yet
+            check_merge_provenance(header, self.plan, self.out)
+            self._header = header
+        folded: List[str] = []
+        for point in _coord.point_states(self.out, self._header, self._cache):
+            if point.error is not None:
+                self.last_error = point.error
+            if point.summaries is None or point.label in self.aggregates:
+                continue
+            self.aggregates[point.label] = fold_point(
+                self.plan, point.index, ((summary.index, summary) for summary in point.summaries)
             )
-            self.mode = "steal"
-            return
-        if self.out.is_dir():
-            manifests = find_manifests(self.out)
-            if manifests:
-                manifest = _load_manifest(manifests[0])
-                check_merge_provenance(manifest, self.plan, self.out)
-                self._shard_count = int(manifest["shard_count"])
-                self.mode = "static"
-
-    def _poll_steal(self) -> List[str]:
-        folded: List[str] = []
-        for point_index, point in enumerate(self.plan.points):
-            if self._done.get(point_index):
-                continue
-            cpath = _coord.point_checkpoint_path(self.out, point_index)
-            if not cpath.exists():
-                continue
-            try:
-                summaries = _load_checkpoint(cpath, self.plan, _coord._WHOLE, point_index)
-            except ManifestError as error:
-                self.last_error = str(error)
-                continue
-            self._fold(point_index, point.label, summaries, folded)
+            folded.append(point.label)
         return folded
-
-    def _poll_static(self) -> List[str]:
-        count = self._shard_count
-        folded: List[str] = []
-        for point_index, point in enumerate(self.plan.points):
-            if self._done.get(point_index):
-                continue
-            shards = [
-                ShardSpec(index, count)
-                for index in range(1, count + 1)
-                if self.plan.owned_positions(point_index, ShardSpec(index, count))
-            ]
-            paths = [checkpoint_path(self.out, shard, point_index) for shard in shards]
-            if not all(path.exists() for path in paths):
-                continue
-            summaries: List[RunSummary] = []
-            try:
-                for shard, path in zip(shards, paths):
-                    summaries.extend(_load_checkpoint(path, self.plan, shard, point_index))
-            except ManifestError as error:
-                self.last_error = str(error)
-                continue
-            self._fold(point_index, point.label, summaries, folded)
-        return folded
-
-    def _fold(
-        self,
-        point_index: int,
-        label: str,
-        summaries: List[RunSummary],
-        folded: List[str],
-    ) -> None:
-        """Fold one completed point through the canonical shared fold."""
-        self.aggregates[label] = fold_point(
-            self.plan, point_index, ((summary.index, summary) for summary in summaries)
-        )
-        self._done[point_index] = True
-        folded.append(label)

@@ -1,7 +1,7 @@
 """The live sweep service: ``python -m repro serve`` and ``status --watch``.
 
 A sweep directory already contains everything an observer needs -- the
-plan header or shard manifests, the lease files with their heartbeat
+plan header, the worker manifests, the lease files with their heartbeat
 timestamps and piggybacked telemetry, and the per-point checkpoints.
 This module reads *only* those artifacts (it never joins the sweep), so
 it can watch a run it did not start, a run on a shared filesystem, or
@@ -9,8 +9,8 @@ the wreckage of a run whose workers were killed.
 
 Three layers, smallest first:
 
-- :func:`render_status_text` -- one textual snapshot of a run directory;
-  shared verbatim by ``status --watch`` and the HTML page.
+- :meth:`SweepMonitor.render_text` -- one textual snapshot of a run
+  directory; shared verbatim by ``status --watch`` and the HTML page.
 - :class:`SweepMonitor` -- the JSON views behind the four endpoints:
   ``/status`` (counts + fleet telemetry), ``/progress`` (per-point
   states), ``/workers`` (manifest rows + live lease heartbeats), and
@@ -33,11 +33,11 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 from ..harness import coordinator as _coord
 from ..harness.aggregate import RunAggregate
-from ..harness.distributed import ManifestError, SweepPlan, read_manifests
+from ..harness.distributed import ManifestError, SweepPlan
 from .merge import IncrementalMerger
 from .telemetry import merge_snapshots
 
@@ -84,20 +84,31 @@ class SweepMonitor:
     def __init__(self, out_dir: Union[str, Path], plan: Optional[SweepPlan] = None) -> None:
         self.out = Path(out_dir)
         self.plan = plan
-        self._merger = IncrementalMerger(self.out, plan) if plan is not None else None
+        #: One checkpoint cache for every view: each checkpoint is unpickled
+        #: once per monitor, and later polls only stat unchanged files.
+        self._cache: _coord.PointCache = {}
+        self._merger = IncrementalMerger(self.out, plan, cache=self._cache) if plan is not None else None
         self._lock = threading.Lock()
 
     # -------------------------------------------------------------- raw views
-    def _mode(self) -> Optional[str]:
-        if _coord.is_steal_dir(self.out):
-            return "steal"
-        try:
-            read_manifests(self.out)
-        except ManifestError:
+    def _status(self) -> Optional[_coord.StealStatus]:
+        """The directory's status, or ``None`` before any worker has started."""
+        if _coord.read_plan_header(self.out, missing_ok=True) is None:
             return None
-        return "static"
+        return _coord.steal_status(self.out, self._cache)
 
-    def _worker_snapshots(self) -> Dict[str, Dict[str, Any]]:
+    def _view(self, build: Callable[[_coord.StealStatus], Dict[str, Any]]) -> Dict[str, Any]:
+        """One endpoint payload built from a fresh status, or the no-artifacts error."""
+        status = self._status()
+        if status is None:
+            return {"error": self._missing()}
+        return build(status)
+
+    def _missing(self) -> str:
+        return f"{self.out} holds no sweep artifacts (yet)"
+
+    @staticmethod
+    def _worker_snapshots(status: _coord.StealStatus) -> Dict[str, Dict[str, Any]]:
         """Freshest telemetry snapshot per worker, manifests and leases pooled.
 
         A worker's manifest snapshot is rewritten per completed point while
@@ -114,104 +125,61 @@ class SweepMonitor:
             if held is None or snap.get("sampled_at", 0) >= held.get("sampled_at", 0):
                 freshest[worker] = snap
 
-        for row in _coord.steal_status(self.out).workers:
+        for row in status.workers:
             offer(row["worker"], row.get("telemetry"))
-        for lease in _coord.live_leases(self.out):
-            offer(lease.worker, lease.telemetry)
+        for point in status.points:
+            if point.lease is not None:
+                offer(point.lease.worker, point.lease.telemetry)
         return freshest
 
     # -------------------------------------------------------------- endpoints
     def status(self) -> Dict[str, Any]:
         """The ``/status`` payload: counts, runs, and pooled fleet telemetry."""
-        mode = self._mode()
-        if mode == "steal":
-            status = _coord.steal_status(self.out)
-            return {
-                "mode": "steal",
-                "experiment": status.experiment,
-                "plan_key": status.plan_key,
-                "points_total": status.points_total,
-                "done": status.done,
-                "leased": status.leased,
-                "orphaned": status.orphaned,
-                "unclaimed": status.unclaimed,
-                "stolen": status.stolen,
-                "runs_total": status.runs_total,
-                "workers": len(status.workers),
-                "telemetry": merge_snapshots(self._worker_snapshots().values()),
-                "sampled_at": time.time(),
-            }
-        if mode == "static":
-            manifests = read_manifests(self.out)
-            shards = []
-            for manifest in manifests:
-                points = manifest["points"]
-                complete = sum(
-                    1
-                    for record in points.values()
-                    if not record["runs"] or record.get("checkpoint")
-                )
-                shards.append(
-                    {
-                        "shard": f"{manifest['shard_index']}/{manifest['shard_count']}",
-                        "points_done": complete,
-                        "points_total": len(manifest.get("labels") or points),
-                        "runs_done": manifest.get("runs_done"),
-                        "runs_total": manifest.get("runs_total"),
-                    }
-                )
-            first = manifests[0]
-            return {
-                "mode": "static",
-                "experiment": first.get("experiment"),
-                "plan_key": first.get("plan_key"),
-                "shards": shards,
-                "sampled_at": time.time(),
-            }
-        return {"mode": None, "error": f"{self.out} holds no sweep artifacts (yet)"}
+        return self._view(self._status_view)
+
+    def _status_view(self, status: _coord.StealStatus) -> Dict[str, Any]:
+        return {
+            "experiment": status.experiment,
+            "plan_key": status.plan_key,
+            "points_total": status.points_total,
+            "done": status.done,
+            "leased": status.leased,
+            "orphaned": status.orphaned,
+            "unclaimed": status.unclaimed,
+            "stolen": status.stolen,
+            "runs_total": status.runs_total,
+            "workers": len(status.workers),
+            "telemetry": merge_snapshots(self._worker_snapshots(status).values()),
+            "sampled_at": time.time(),
+        }
 
     def progress(self) -> Dict[str, Any]:
         """The ``/progress`` payload: every point's current state."""
-        mode = self._mode()
-        if mode != "steal":
-            # Static shards have no per-point lease state; their progress
-            # *is* the per-shard status rows.
-            return self.status()
-        header = _coord.read_plan_header(self.out)
-        labels = header["labels"]
-        leases = {lease.point_index: lease for lease in _coord.live_leases(self.out)}
+        return self._view(self._progress_view)
+
+    def _progress_view(self, status: _coord.StealStatus) -> Dict[str, Any]:
         points: List[Dict[str, Any]] = []
-        done = 0
-        for point_index, label in enumerate(labels):
-            lease = leases.get(point_index)
-            entry: Dict[str, Any] = {"index": point_index, "label": label}
-            if _coord.point_checkpoint_path(self.out, point_index).exists():
-                entry["state"] = "done"
-                done += 1
-            elif lease is None:
-                entry["state"] = "unclaimed"
-            elif lease.expired():
-                entry["state"] = "orphaned"
-            else:
-                entry["state"] = "leased"
-            if lease is not None:
-                entry["worker"] = lease.worker
-                entry["generation"] = lease.generation
+        for point in status.points:
+            entry: Dict[str, Any] = {"index": point.index, "label": point.label, "state": point.state}
+            if point.lease is not None:
+                entry["worker"] = point.lease.worker
+                entry["generation"] = point.lease.generation
+            if point.error is not None:
+                entry["error"] = point.error
             points.append(entry)
         return {
-            "mode": "steal",
-            "experiment": header.get("experiment"),
-            "done": done,
-            "points_total": len(labels),
+            "experiment": status.experiment,
+            "done": status.done,
+            "points_total": status.points_total,
             "points": points,
             "sampled_at": time.time(),
         }
 
     def workers(self) -> Dict[str, Any]:
-        """The ``/workers`` payload: manifest rows plus live lease heartbeats."""
-        mode = self._mode()
-        if mode != "steal":
-            return self.status()
+        """The ``/workers`` payload: manifest rows plus the heartbeats of unfinished points."""
+        return self._view(self._workers_view)
+
+    def _workers_view(self, status: _coord.StealStatus) -> Dict[str, Any]:
         now = time.time()
         leases = [
             {
@@ -220,27 +188,21 @@ class SweepMonitor:
                 "generation": lease.generation,
                 "heartbeat_age": None if lease.corrupt else max(now - lease.renewed_at, 0.0),
                 "ttl": lease.ttl,
-                "expired": lease.expired(now),
+                "expired": lease.expired(),
                 "telemetry": lease.telemetry,
             }
-            for lease in _coord.live_leases(self.out)
-            if not _coord.point_checkpoint_path(self.out, lease.point_index).exists()
+            for lease in (point.lease for point in status.points if point.state != "done")
+            if lease is not None
         ]
-        return {
-            "mode": "steal",
-            "workers": _coord.steal_status(self.out).workers,
-            "leases": leases,
-            "sampled_at": now,
-        }
+        return {"workers": status.workers, "leases": leases, "sampled_at": now}
 
     def aggregate(self) -> Dict[str, Any]:
         """The ``/aggregate`` payload: the folded (possibly partial) prefix.
 
         Each request folds newly landed checkpoints first, so the answer is
         as fresh as the directory; folded points never re-fold.  The partial
-        aggregates are bit-identical to what ``merge_shards`` /
-        ``merge_stolen`` will produce for those points (see
-        :mod:`repro.obs.merge`).
+        aggregates are bit-identical to what ``merge_stolen`` will produce
+        for those points (see :mod:`repro.obs.merge`).
         """
         if self._merger is None:
             return {
@@ -261,37 +223,28 @@ class SweepMonitor:
                 "sampled_at": time.time(),
             }
 
+    def render_text(self) -> str:
+        """One human-readable snapshot of the directory, from one status read.
 
-# ------------------------------------------------------------ text rendering
-def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = None) -> str:
-    """One human-readable snapshot of a sweep directory.
-
-    The single renderer behind ``python -m repro status --watch`` and the
-    serve HTML page, so the browser and the terminal always agree.
-    """
-    monitor = SweepMonitor(out_dir, plan)
-    status = monitor.status()
-    lines: List[str] = []
-    if status.get("mode") == "steal":
-        lines.append(
-            f"{status['experiment'] or status['plan_key'] or '?'}: "
-            f"{status['done']}/{status['points_total']} points done "
-            f"({status['stolen']} stolen), {status['leased']} leased, "
-            f"{status['orphaned']} orphaned, {status['unclaimed']} unclaimed"
-        )
-        telemetry = status.get("telemetry") or {}
-        counters = telemetry.get("counters") or {}
+        The single renderer behind ``python -m repro status --watch`` and
+        the serve HTML page, so the browser and the terminal always agree.
+        """
+        status = self._status()
+        if status is None:
+            return self._missing()
+        lines = [status.headline()]
+        counters = merge_snapshots(self._worker_snapshots(status).values()).get("counters") or {}
         if counters:
             shown = ", ".join(f"{name}={counters[name]:g}" for name in sorted(counters))
             lines.append(f"fleet: {shown}")
-        workers = monitor.workers()
-        for row in workers.get("workers", []):
+        workers = self._workers_view(status)
+        for row in workers["workers"]:
             lines.append(
                 f"  worker {row['worker']}: {row['computed']} computed "
                 f"({row['stolen']} stolen, {row['lost']} lost), "
                 f"{row['runs_executed']} runs"
             )
-        for lease in workers.get("leases", []):
+        for lease in workers["leases"]:
             age = lease["heartbeat_age"]
             age_text = "?" if age is None else f"{age:.1f}s"
             state = "EXPIRED" if lease["expired"] else "live"
@@ -299,16 +252,7 @@ def render_status_text(out_dir: Union[str, Path], plan: Optional[SweepPlan] = No
                 f"  lease point {lease['point_index']:04d} gen {lease['generation']} "
                 f"held by {lease['worker']} ({state}, heartbeat {age_text} ago)"
             )
-    elif status.get("mode") == "static":
-        lines.append(f"{status['experiment'] or status['plan_key'] or '?'}: static shards")
-        for shard in status["shards"]:
-            lines.append(
-                f"  shard {shard['shard']}: {shard['points_done']}/{shard['points_total']} "
-                f"points, {shard['runs_done']}/{shard['runs_total']} runs"
-            )
-    else:
-        lines.append(status.get("error", f"{out_dir}: no sweep artifacts"))
-    return "\n".join(lines)
+        return "\n".join(lines)
 
 
 def watch_status(
@@ -317,18 +261,19 @@ def watch_status(
     iterations: Optional[int] = None,
     stream: Optional[TextIO] = None,
 ) -> None:
-    """Poll-and-redraw :func:`render_status_text` every ``interval`` seconds.
+    """Poll-and-redraw one monitor's :meth:`~SweepMonitor.render_text` every ``interval`` seconds.
 
     ``iterations`` bounds the loop (``None`` runs until interrupted; tests
     pass a small count); the redraw uses ANSI clear-screen so a terminal
     shows one live page rather than a scrolling log.
     """
     output = sys.stdout if stream is None else stream
+    monitor = SweepMonitor(out_dir)
     count = 0
     while iterations is None or count < iterations:
         if count:
             time.sleep(interval)
-        text = render_status_text(out_dir)
+        text = monitor.render_text()
         stamp = time.strftime("%H:%M:%S")
         output.write(f"\x1b[2J\x1b[H{text}\n\n(refreshed {stamp}, every {interval:g}s; Ctrl-C to stop)\n")
         output.flush()
@@ -369,7 +314,7 @@ class _MonitorHandler(BaseHTTPRequestHandler):
         }
         try:
             if path == "/":
-                text = render_status_text(monitor.out, monitor.plan)
+                text = monitor.render_text()
                 title = monitor.out.name or str(monitor.out)
                 body = _HTML_PAGE.format(refresh=2, title=_escape(title), text=_escape(text))
                 self._reply(200, body.encode("utf-8"), "text/html; charset=utf-8")

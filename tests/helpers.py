@@ -10,8 +10,10 @@ such a generator to completion and returns its value.
 from __future__ import annotations
 
 import random
+import time
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.harness import coordinator
 from repro.network.message import Message
 
 
@@ -191,3 +193,19 @@ def compute_golden_summaries():
         "seeds": list(GOLDEN_SEEDS),
         "experiments": experiments,
     }
+
+
+class LeaseClock:
+    """The lease clock of :mod:`repro.harness.coordinator`, moved by hand.
+
+    Patches ``coordinator._now`` to wall time plus an offset, so a test
+    expires a lease with :meth:`advance` instead of sleeping past its TTL.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.offset = 0.0
+        monkeypatch.setattr(coordinator, "_now", lambda: time.time() + self.offset)
+
+    def advance(self, seconds: float) -> None:
+        """Move every lease decision ``seconds`` into the future."""
+        self.offset += seconds

@@ -46,7 +46,8 @@ from repro.core.base import BOT, PhaseMessage, ProcessEnvironment, ProtocolInvar
 from repro.core.pattern import scan_mailbox
 from repro.experiments import e10_adaptive
 from repro.experiments.common import default_seeds
-from repro.harness.distributed import ShardSpec, merge_shards, run_plan, run_shard
+from repro.harness.coordinator import merge_stolen
+from repro.harness.distributed import ShardSpec, run_plan, run_shard
 from repro.harness.runner import ExperimentConfig, prepare_consensus
 from repro.sim.events import MessageDelivery
 from repro.sim.kernel import SimConfig
@@ -346,7 +347,7 @@ E10_KWARGS = dict(
 def _shard_and_merge(plan, out_dir, shard_count):
     for index in range(1, shard_count + 1):
         run_shard(plan, ShardSpec(index, shard_count), out_dir, max_workers=1)
-    return merge_shards(out_dir, plan)
+    return merge_stolen(out_dir, plan)
 
 
 @pytest.mark.parametrize("shard_count", [1, 3, 7])

@@ -51,10 +51,11 @@ def test_shard_merge_report_equals_unsharded_run(tmp_path, capsys):
 def test_rerun_of_a_finished_shard_resumes(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     code, first, _ = run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
-    assert code == 0 and "resumed" in first
+    assert code == 0 and "worker shard-1of2" in first and "2 points computed" in first
     code, second, _ = run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
     assert code == 0
-    assert "0 executed" in second and "computed" not in second
+    assert "0 points computed" in second and "2 already done" in second
+    assert "  computed  " not in second
 
 
 def test_status_shows_progress(tmp_path, capsys):
@@ -62,7 +63,8 @@ def test_status_shows_progress(tmp_path, capsys):
     run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
     code, out, _ = run_cli(capsys, "status", out_dir)
     assert code == 0
-    assert "1/2" in out and "4/4" in out
+    assert "2/4 points done" in out and "2 unclaimed" in out
+    assert "shard-1of2" in out  # the per-worker table
 
 
 def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypatch):
@@ -84,9 +86,9 @@ def test_status_of_killed_shard_shows_partial_points(tmp_path, capsys, monkeypat
 
     code, out, _ = run_cli(capsys, "status", out_dir)
     assert code == 0
-    assert "1/4" in out  # 1 of the plan's 4 points done, not "1/1"
+    assert "1/4 points done" in out  # 1 of the plan's 4 points done
     code, _, err = run_cli(capsys, "merge", out_dir)
-    assert code == 2 and "resume it by re-running" in err
+    assert code == 2 and "incomplete" in err and "3 unclaimed" in err
 
 
 def test_merge_summary_without_report_flag(tmp_path, capsys):
@@ -157,7 +159,20 @@ def test_bad_shard_spec_is_an_error(capsys, tmp_path):
 def test_merge_of_empty_directory_is_an_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "merge", str(tmp_path))
     assert code == 2
-    assert "no shard manifests" in err
+    assert "no plan header" in err
+
+
+@pytest.mark.parametrize("command", ["run", "merge", "status"])
+def test_old_static_shard_directory_is_refused_by_name(tmp_path, capsys, command):
+    (tmp_path / "shard-2of2.json").write_text('{"version": 3}')
+    argv = {
+        "run": ["run", "e1", *E1_ARGS, "--shard", "1/2", "--out", str(tmp_path)],
+        "merge": ["merge", str(tmp_path)],
+        "status": ["status", str(tmp_path)],
+    }[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "shard-2of2.json is a static shard manifest" in err and "re-run the sweep" in err
 
 
 def test_mismatched_shard_seeds_are_rejected_at_merge(tmp_path, capsys):
@@ -260,12 +275,16 @@ def test_steal_flags_without_steal_are_an_error(capsys, tmp_path):
     assert "only apply with --steal" in err
 
 
-def test_steal_directory_refuses_static_shards(tmp_path, capsys):
+def test_static_shard_and_steal_workers_share_a_directory(tmp_path, capsys):
     out_dir = str(tmp_path / "runs")
     run_cli(capsys, "run", "e1", *E1_ARGS, "--shard", "1/2", "--out", out_dir)
-    code, _, err = run_cli(capsys, "run", "e1", *STEAL_ARGS, "--out", out_dir)
-    assert code == 2
-    assert "static" in err
+    code, out, _ = run_cli(capsys, "run", "e1", *STEAL_ARGS, "--worker", "w", "--out", out_dir)
+    assert code == 0
+    assert "2 points computed" in out and "2 already done" in out
+    code, merged_out, _ = run_cli(capsys, "merge", out_dir, "--report")
+    assert code == 0
+    code, direct_out, _ = run_cli(capsys, "run", "e1", *E1_ARGS)
+    assert merged_out == direct_out
 
 
 def test_python_dash_m_entry_point():

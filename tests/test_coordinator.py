@@ -5,11 +5,12 @@ work-stealing workers -- killed, restarted, stolen-from, racing -- and
 merging the directory yields aggregates *bit-identical* to the single-host
 sweep.  Plus the lease protocol's edges: single-winner claims and steals,
 expiry by heartbeat silence, corrupt lease files treated as expired, and
-clear refusals for mixed or foreign directories.
+clear refusals for foreign directories.  Lease expiry is driven by a
+hand-moved clock (:class:`tests.helpers.LeaseClock`), never by sleeping.
 """
 
+import json
 import pickle
-import time
 
 import pytest
 
@@ -43,6 +44,9 @@ from repro.harness.distributed import (
     run_shard,
 )
 from repro.harness.runner import ExperimentConfig
+from repro.obs.merge import IncrementalMerger
+from repro.obs.serve import SweepMonitor
+from tests.helpers import LeaseClock
 
 SEEDS = default_seeds(4)
 BASE = ExperimentConfig(topology=ClusterTopology.figure1_right())
@@ -50,8 +54,14 @@ VARIATIONS = {
     "local": {"algorithm": "hybrid-local-coin"},
     "common": {"algorithm": "hybrid-common-coin"},
 }
-TTL = 0.05  # tiny lease, so tests exercise expiry without real waiting
-EXPIRE = 3 * TTL  # sleeping this long guarantees any TTL lease has expired
+TTL = 5.0  # long enough never to lapse in wall time while a test runs
+EXPIRE = 3 * TTL  # advancing the lease clock this far expires any TTL lease
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The lease clock, advanced by hand instead of sleeping past a TTL."""
+    return LeaseClock(monkeypatch)
 
 
 def make_plan():
@@ -88,10 +98,10 @@ class TestLeaseProtocol:
         with pytest.raises(LeaseError, match="has not expired"):
             try_steal(tmp_path, plan, 0, "thief", 60.0, lease)
 
-    def test_expired_lease_steal_race_has_one_winner(self, tmp_path):
+    def test_expired_lease_steal_race_has_one_winner(self, tmp_path, clock):
         plan = make_plan()
         try_claim(tmp_path, plan, 0, "mayfly", TTL)
-        time.sleep(EXPIRE)
+        clock.advance(EXPIRE)
         expired = current_lease(tmp_path, 0)
         assert expired.expired()
         first = try_steal(tmp_path, plan, 0, "thief-1", 60.0, expired)
@@ -101,19 +111,19 @@ class TestLeaseProtocol:
         live = current_lease(tmp_path, 0)
         assert live.worker == "thief-1" and live.generation == 1
 
-    def test_renewal_advances_heartbeat(self, tmp_path):
+    def test_renewal_advances_heartbeat(self, tmp_path, clock):
         plan = make_plan()
         lease = try_claim(tmp_path, plan, 0, "alpha", 60.0)
-        time.sleep(0.02)
+        clock.advance(1.0)
         renewed = renew_lease(lease, plan.fingerprint())
         assert renewed is not None
         assert renewed.renewed_at > lease.renewed_at
         assert renewed.generation == lease.generation
 
-    def test_renewal_after_theft_reports_superseded(self, tmp_path):
+    def test_renewal_after_theft_reports_superseded(self, tmp_path, clock):
         plan = make_plan()
         lease = try_claim(tmp_path, plan, 0, "alpha", TTL)
-        time.sleep(EXPIRE)
+        clock.advance(EXPIRE)
         assert try_steal(tmp_path, plan, 0, "thief", 60.0, current_lease(tmp_path, 0))
         assert renew_lease(lease, plan.fingerprint()) is None
 
@@ -182,7 +192,7 @@ def test_stolen_sweep_merges_bit_identical(tmp_path, worker_count):
 
 @pytest.mark.parametrize("worker_count", [1, 3, 7])
 def test_killed_workers_shed_points_to_stealers_bit_identical(
-    tmp_path, worker_count, monkeypatch
+    tmp_path, worker_count, monkeypatch, clock
 ):
     """Workers die holding leases; stealers recover every point, bit for bit."""
     plan = e1_figure1.plan(seeds=SEEDS)
@@ -199,7 +209,7 @@ def test_killed_workers_shed_points_to_stealers_bit_identical(
         except KeyboardInterrupt:
             pass
         restore()
-        time.sleep(EXPIRE)
+        clock.advance(EXPIRE)
     for attempt in range(3):
         if merge_ready(plan, tmp_path):
             break
@@ -207,7 +217,7 @@ def test_killed_workers_shed_points_to_stealers_bit_identical(
             e1_figure1.plan(seeds=SEEDS), tmp_path, worker=f"sweeper{attempt}",
             lease_ttl=TTL, max_workers=1,
         )
-        time.sleep(EXPIRE)
+        clock.advance(EXPIRE)
     # Finishing required stealing at least one dead victim's lease.
     assert steal_status(tmp_path).stolen >= 1
     merged = merge_stolen(tmp_path, e1_figure1.plan(seeds=SEEDS))
@@ -215,7 +225,7 @@ def test_killed_workers_shed_points_to_stealers_bit_identical(
         assert merged.aggregates[label] == aggregate
 
 
-def test_restarted_worker_finds_its_point_stolen(tmp_path, monkeypatch):
+def test_restarted_worker_finds_its_point_stolen(tmp_path, monkeypatch, clock):
     """A crashed worker restarts to find a thief finished its claim: no recompute."""
     plan = make_plan()
     restore = kill_after(monkeypatch, points=0)  # dies inside its first point
@@ -224,7 +234,7 @@ def test_restarted_worker_finds_its_point_stolen(tmp_path, monkeypatch):
     restore()
     claimed = [pi for pi in range(len(plan.points)) if current_lease(tmp_path, pi, warn=False)]
     assert len(claimed) == 1  # died holding exactly one lease, checkpoint-less
-    time.sleep(EXPIRE)
+    clock.advance(EXPIRE)
     thief = run_work_stealing(
         make_plan(), tmp_path, worker="thief", lease_ttl=TTL, max_workers=1
     )
@@ -251,11 +261,11 @@ def test_corrupt_lease_blocking_a_point_is_stolen_with_warning(tmp_path):
     assert merge_ready(plan, tmp_path)
 
 
-def test_corrupt_checkpoint_is_recomputed_after_lease_expiry(tmp_path):
+def test_corrupt_checkpoint_is_recomputed_after_lease_expiry(tmp_path, clock):
     plan = make_plan()
     run_work_stealing(plan, tmp_path, worker="first", lease_ttl=TTL, max_workers=1)
     point_checkpoint_path(tmp_path, 0).write_bytes(b"not a pickle")
-    time.sleep(EXPIRE)
+    clock.advance(EXPIRE)
     with pytest.warns(RuntimeWarning, match="recomputing"):
         again = run_work_stealing(
             make_plan(), tmp_path, worker="second", lease_ttl=TTL, max_workers=1
@@ -279,17 +289,21 @@ def test_live_leased_points_are_left_behind_not_fought_over(tmp_path):
         merge_stolen(tmp_path, make_plan())
 
 
-def test_checkpoints_record_lease_provenance(tmp_path):
+def test_checkpoints_record_lease_provenance(tmp_path, clock):
     plan = make_plan()
     write_plan_header(tmp_path, plan)
     try_claim(tmp_path, plan, 0, "mayfly", TTL)
-    time.sleep(EXPIRE)
+    clock.advance(EXPIRE)
     run_work_stealing(make_plan(), tmp_path, worker="prov", lease_ttl=TTL, max_workers=1)
     stolen = pickle.loads(point_checkpoint_path(tmp_path, 0).read_bytes())
-    assert stolen["schedule"] == "steal" and stolen["worker"] == "prov"
+    assert stolen["worker"] == "prov"
     assert stolen["stolen"] is True and stolen["lease_generation"] == 1
     fresh = pickle.loads(point_checkpoint_path(tmp_path, 1).read_bytes())
     assert fresh["stolen"] is False and fresh["lease_generation"] == 0
+    run_shard(make_plan(), ShardSpec(1, 1), tmp_path / "static", max_workers=1)
+    static = pickle.loads(point_checkpoint_path(tmp_path / "static", 0).read_bytes())
+    assert static["worker"] == "shard-1of1"
+    assert static["stolen"] is False and static["lease_generation"] is None
 
 
 def test_max_points_bounds_the_work_grant(tmp_path):
@@ -302,14 +316,14 @@ def test_max_points_bounds_the_work_grant(tmp_path):
 
 
 # ------------------------------------------------------------------ status
-def test_steal_status_counts_each_state(tmp_path):
+def test_steal_status_counts_each_state(tmp_path, clock):
     plan = make_plan()
     write_plan_header(tmp_path, plan)
     status = steal_status(tmp_path)
     assert (status.points_total, status.done, status.unclaimed) == (2, 0, 2)
     try_claim(tmp_path, plan, 0, "mayfly", TTL)
     assert steal_status(tmp_path).leased == 1
-    time.sleep(EXPIRE)
+    clock.advance(EXPIRE)
     status = steal_status(tmp_path)
     assert status.orphaned == 1 and status.leased == 0
     run_work_stealing(make_plan(), tmp_path, worker="fin", lease_ttl=TTL, max_workers=1)
@@ -318,19 +332,118 @@ def test_steal_status_counts_each_state(tmp_path):
     assert any(row["worker"] == "fin" and row["stolen"] == 1 for row in status.workers)
 
 
-# -------------------------------------------------------------- refusals
-def test_steal_directory_refuses_static_shards_and_vice_versa(tmp_path):
+def test_corrupt_checkpoint_is_not_done_for_any_reader(tmp_path, clock):
+    """status, the point states and merge agree: a garbage checkpoint is not done."""
     plan = make_plan()
-    steal_out = tmp_path / "steal"
-    run_work_stealing(plan, steal_out, worker="w", lease_ttl=60.0, max_workers=1)
-    with pytest.raises(ManifestError, match="work-stealing"):
-        run_shard(make_plan(), ShardSpec(1, 1), steal_out, max_workers=1)
-    static_out = tmp_path / "static"
-    run_shard(make_plan(), ShardSpec(1, 1), static_out, max_workers=1)
-    with pytest.raises(ManifestError, match="static"):
-        run_work_stealing(make_plan(), static_out, worker="w", lease_ttl=60.0, max_workers=1)
+    run_work_stealing(plan, tmp_path, worker="first", lease_ttl=TTL, max_workers=1)
+    point_checkpoint_path(tmp_path, 1).write_bytes(b"garbage, not a pickle")
+    status = steal_status(tmp_path)
+    assert status.done == 1 and status.leased == 1  # the writer's lease is still live
+    broken = status.points[1]
+    assert broken.state == "leased" and "unreadable checkpoint" in broken.error
+    progress = SweepMonitor(tmp_path).progress()
+    assert [point["state"] for point in progress["points"]] == ["done", "leased"]
+    assert progress["done"] == 1
+    workers = SweepMonitor(tmp_path).workers()
+    assert [lease["point_index"] for lease in workers["leases"]] == [1]
+    with pytest.raises(ManifestError, match="incomplete") as excinfo:
+        merge_stolen(tmp_path, make_plan())
+    assert str([plan.points[1].label]) in str(excinfo.value)
+    assert "unreadable checkpoint" in str(excinfo.value)
+    clock.advance(EXPIRE)
+    assert steal_status(tmp_path).orphaned == 1
 
 
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("fingerprint", lambda _: "0" * 64),
+        ("label", lambda _: "someone-else"),
+        ("point_index", lambda _: 0),
+        ("summaries", lambda summaries: summaries[:-1]),
+        ("summaries", lambda summaries: summaries[::-1]),
+    ],
+    ids=["fingerprint", "label", "point_index", "truncated_summaries", "reordered_summaries"],
+)
+def test_mismatched_checkpoint_is_not_done(tmp_path, field, change):
+    plan = make_plan()
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    cpath = point_checkpoint_path(tmp_path, 1)
+    payload = pickle.loads(cpath.read_bytes())
+    payload[field] = change(payload[field])
+    cpath.write_bytes(pickle.dumps(payload))
+    status = steal_status(tmp_path)
+    assert status.done == 1 and status.points[1].state == "unclaimed"
+    with pytest.raises(ManifestError, match="incomplete"):
+        merge_stolen(tmp_path, make_plan())
+    # The incremental merger leaves the point pending rather than failing.
+    merger = IncrementalMerger(tmp_path, make_plan())
+    assert merger.poll() == [plan.points[0].label]
+    assert merger.pending() == [plan.points[1].label]
+    # A static shard has no lease to wait out: the re-run recomputes at once.
+    with pytest.warns(RuntimeWarning, match="recomputing"):
+        again = run_shard(make_plan(), ShardSpec(1, 1), tmp_path, max_workers=1)
+    assert again.executed == [plan.points[1].label]
+    assert steal_status(tmp_path).done == 2
+
+
+def test_each_checkpoint_is_loaded_at_most_once_per_worker(tmp_path, monkeypatch):
+    plan = make_plan()
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    loads = []
+    real_load = coordinator._load_checkpoint
+
+    def counting(path, *args):
+        loads.append(path.name)
+        return real_load(path, *args)
+
+    monkeypatch.setattr(coordinator, "_load_checkpoint", counting)
+    result = run_work_stealing(
+        make_plan(), tmp_path, worker="reader", lease_ttl=TTL, max_workers=1
+    )
+    assert len(result.already_done) == len(plan.points)
+    assert sorted(loads) == sorted(set(loads)) and len(loads) == len(plan.points)
+
+
+def test_monitor_unpickles_each_checkpoint_once(tmp_path, monkeypatch):
+    plan = make_plan()
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    loads = []
+    real_load = coordinator._load_checkpoint
+
+    def counting(path, *args):
+        loads.append(path.name)
+        return real_load(path, *args)
+
+    monkeypatch.setattr(coordinator, "_load_checkpoint", counting)
+    monitor = SweepMonitor(tmp_path, make_plan())
+    for _ in range(3):
+        monitor.status(), monitor.progress(), monitor.workers(), monitor.render_text()
+        assert monitor.aggregate()["complete"]
+    assert sorted(loads) == sorted(point_checkpoint_path(tmp_path, i).name for i in range(2))
+    # A rewritten checkpoint is judged again, once.
+    cpath = point_checkpoint_path(tmp_path, 1)
+    payload = cpath.read_bytes()
+    cpath.unlink()
+    cpath.write_bytes(b"garbage")
+    assert monitor.status()["done"] == 1 and monitor.progress()["done"] == 1
+    assert len(loads) == 3
+    cpath.unlink()
+    cpath.write_bytes(payload)
+    assert monitor.status()["done"] == 2
+    assert len(loads) == 4
+
+
+def test_merge_ignores_malformed_worker_manifests(tmp_path):
+    plan = make_plan()
+    run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+    worker_manifest_path(tmp_path, "broken").write_text("{ not json")
+    merged = merge_stolen(tmp_path, make_plan())
+    assert merged.aggregates == run_plan(make_plan(), max_workers=1)
+    assert merged.shard_count == 2
+
+
+# -------------------------------------------------------------- refusals
 def test_foreign_plan_header_is_refused(tmp_path):
     run_work_stealing(make_plan(), tmp_path, worker="w", lease_ttl=60.0, max_workers=1)
     foreign = plan_sweep(BASE, VARIATIONS, default_seeds(2))
@@ -364,6 +477,8 @@ def test_worker_manifest_records_outcomes(tmp_path):
     assert raw["fingerprint"] == plan.fingerprint()
     status = steal_status(tmp_path)
     assert status.workers[0]["computed"] == len(plan.points)
+    outcomes = json.loads(manifest.read_text())["points"]
+    assert {record["outcome"] for record in outcomes.values()} == {"executed"}
 
 
 # ----------------------------------------------------------- e9 stealing
@@ -372,7 +487,7 @@ E9_KWARGS = dict(
 )
 
 
-def test_e9_steal_merge_is_bit_identical_to_single_host(tmp_path, monkeypatch):
+def test_e9_steal_merge_is_bit_identical_to_single_host(tmp_path, monkeypatch, clock):
     single = run_plan(e9_adversary.plan(**E9_KWARGS), max_workers=1)
     restore = kill_after(monkeypatch, points=1)
     with pytest.raises(KeyboardInterrupt):
@@ -381,7 +496,7 @@ def test_e9_steal_merge_is_bit_identical_to_single_host(tmp_path, monkeypatch):
             lease_ttl=TTL, max_workers=1,
         )
     restore()
-    time.sleep(EXPIRE)
+    clock.advance(EXPIRE)
     sweeper = run_work_stealing(
         e9_adversary.plan(**E9_KWARGS), tmp_path, worker="sweeper",
         lease_ttl=TTL, max_workers=1,
@@ -410,9 +525,8 @@ def test_superseded_worker_loses_gracefully(tmp_path):
     task.superseded = True
     summaries = coordinator.execute_point(plan, task, max_workers=1)
     coordinator._write_checkpoint(
-        task.checkpoint, plan, coordinator._WHOLE, task.point_index, summaries,
-        provenance={"schedule": "steal", "worker": "thief", "lease_generation": 1,
-                    "stolen": True},
+        point_checkpoint_path(tmp_path, task.point_index), plan, task.point_index, summaries,
+        provenance={"worker": "thief", "lease_generation": 1, "stolen": True},
     )
     scheduler.complete(task, summaries)
     assert scheduler.result.lost == [task.label]

@@ -14,10 +14,10 @@ import pytest
 
 from repro.experiments import e11_resilience
 from repro.experiments.common import default_seeds
+from repro.harness.coordinator import merge_stolen
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
-    merge_shards,
     run_plan,
     run_shard,
 )
@@ -36,7 +36,7 @@ def _shard_and_merge(plan, out_dir, shard_count, exec_mode=None):
         run_shard(
             plan, ShardSpec(index, shard_count), out_dir, max_workers=1, exec_mode=exec_mode
         )
-    return merge_shards(out_dir, plan)
+    return merge_stolen(out_dir, plan)
 
 
 @pytest.mark.parametrize("shard_count", [1, 3, 7])
@@ -106,7 +106,7 @@ def test_merge_refuses_mismatched_delay_catalogue_with_named_field(tmp_path):
         seeds=SEEDS, scenarios=("none",), delays=("uniform",), round_cap=15
     )
     with pytest.raises(ManifestError, match="'delay_models'"):
-        merge_shards(tmp_path, foreign)
+        merge_stolen(tmp_path, foreign)
 
 
 def test_plan_rejects_unknown_names():
@@ -121,7 +121,7 @@ def test_resume_works_for_resilience_shards(tmp_path):
     first = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
     assert first.runs_executed > 0
     again = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
-    assert not again.executed and again.resumed == first.executed
+    assert not again.executed and again.already_done == first.executed
 
 
 def test_restricted_plans_normalise_name_order():

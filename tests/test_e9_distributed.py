@@ -13,10 +13,10 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.experiments import e9_adversary
 from repro.experiments.common import default_seeds
+from repro.harness.coordinator import merge_stolen
 from repro.harness.distributed import (
     ManifestError,
     ShardSpec,
-    merge_shards,
     plan_repeat,
     run_plan,
     run_shard,
@@ -33,7 +33,7 @@ E9_KWARGS = dict(
 def _shard_and_merge(plan, out_dir, shard_count):
     for index in range(1, shard_count + 1):
         run_shard(plan, ShardSpec(index, shard_count), out_dir, max_workers=1)
-    return merge_shards(out_dir, plan)
+    return merge_stolen(out_dir, plan)
 
 
 @pytest.mark.parametrize("shard_count", [1, 3, 7])
@@ -77,7 +77,7 @@ def test_merge_refuses_mismatched_scenarios_with_named_field(tmp_path):
     run_shard(ran, ShardSpec(1, 1), tmp_path, max_workers=1)
     foreign = e9_adversary.plan(seeds=SEEDS, scenarios=("chaos",), intensities=(0.25,))
     with pytest.raises(ManifestError, match="'scenarios'"):
-        merge_shards(tmp_path, foreign)
+        merge_stolen(tmp_path, foreign)
 
 
 def test_merge_refuses_mismatched_delay_models_with_named_field(tmp_path):
@@ -88,7 +88,7 @@ def test_merge_refuses_mismatched_delay_models_with_named_field(tmp_path):
         ExperimentConfig(topology=topology, delay_model=ConstantDelay(1.0)), SEEDS
     )
     with pytest.raises(ManifestError, match="'delay_models'"):
-        merge_shards(tmp_path, foreign)
+        merge_stolen(tmp_path, foreign)
 
 
 def test_resume_works_for_adversarial_shards(tmp_path):
@@ -96,7 +96,7 @@ def test_resume_works_for_adversarial_shards(tmp_path):
     first = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
     assert first.runs_executed > 0
     again = run_shard(plan, ShardSpec(1, 2), tmp_path, max_workers=1)
-    assert not again.executed and again.resumed == first.executed
+    assert not again.executed and again.already_done == first.executed
 
 
 def test_scenario_restricted_plans_normalise_name_order():

@@ -3,8 +3,8 @@
 The headline guarantees under test: (1) the telemetry registry merges
 per-worker snapshots exactly (counters sum, gauges keep the latest,
 timers fold); (2) :class:`~repro.obs.merge.IncrementalMerger` produces
-aggregates *bit-identical* to ``merge_shards`` / ``merge_stolen`` on
-every completed prefix, for shard counts 1, 3 and 7; (3) ``serve``
+aggregates *bit-identical* to ``merge_stolen`` on every completed
+prefix, for static shard counts 1, 3 and 7; (3) ``serve``
 answers live JSON against a half-finished (killed mid-flight) steal
 directory, including the incrementally folded partial aggregate; and
 (4) ``--wait`` workers idle until live-leased points free up instead of
@@ -31,24 +31,17 @@ from repro.harness.coordinator import (
     steal_status,
     try_claim,
 )
-from repro.harness.distributed import (
-    ShardSpec,
-    checkpoint_path,
-    find_manifests,
-    merge_shards,
-    plan_sweep,
-    run_shard,
-)
+from repro.harness.distributed import ShardSpec, plan_sweep, run_shard
 from repro.harness.runner import ExperimentConfig
 from repro.obs.merge import IncrementalMerger
 from repro.obs.serve import (
     SweepMonitor,
     aggregate_to_json,
     make_server,
-    render_status_text,
     watch_status,
 )
 from repro.obs.telemetry import Telemetry, merge_snapshots
+from tests.helpers import LeaseClock
 
 SEEDS = default_seeds(3)
 BASE = ExperimentConfig(topology=ClusterTopology.figure1_right())
@@ -216,24 +209,22 @@ def _static_prefix_dir(tmp_path, full_dir, plan, shard_count, prefix):
     """A copy of ``full_dir`` holding checkpoints only for points < prefix."""
     out = tmp_path / f"prefix-{shard_count}-{prefix}"
     out.mkdir()
-    for manifest in find_manifests(full_dir):
+    shutil.copy(plan_header_path(full_dir), plan_header_path(out))
+    for manifest in coordinator.find_worker_manifests(full_dir):
         shutil.copy(manifest, out / manifest.name)
     for point_index in range(prefix):
-        for index in range(1, shard_count + 1):
-            source = checkpoint_path(full_dir, ShardSpec(index, shard_count), point_index)
-            if source.exists():
-                shutil.copy(source, out / source.name)
+        shutil.copy(point_checkpoint_path(full_dir, point_index), point_checkpoint_path(out, point_index))
     return out
 
 
 class TestIncrementalMerger:
     @pytest.mark.parametrize("shard_count", [1, 3, 7])
-    def test_every_completed_prefix_is_bit_identical_to_merge_shards(
+    def test_every_completed_prefix_is_bit_identical_to_merge_stolen(
         self, tmp_path, shard_count
     ):
         plan = make_plan()
         full_dir = _complete_static_run(tmp_path, plan, shard_count)
-        reference = merge_shards(full_dir, make_plan())
+        reference = merge_stolen(full_dir, make_plan())
         for prefix in range(len(plan.points) + 1):
             prefix_dir = _static_prefix_dir(tmp_path, full_dir, plan, shard_count, prefix)
             merger = IncrementalMerger(prefix_dir, make_plan())
@@ -242,6 +233,8 @@ class TestIncrementalMerger:
             assert merger.complete == (prefix == len(plan.points))
             for label in folded:
                 assert merger.aggregates[label] == reference.aggregates[label]
+            if merger.complete:
+                assert merger.merged().aggregates == reference.aggregates
 
     def test_steal_prefix_is_bit_identical_to_merge_stolen(self, tmp_path):
         plan = make_plan()
@@ -287,7 +280,16 @@ class TestIncrementalMerger:
     def test_empty_directory_stays_pending(self, tmp_path):
         merger = IncrementalMerger(tmp_path / "nothing-yet", make_plan())
         assert merger.poll() == []
-        assert not merger.complete and merger.mode is None
+        assert not merger.complete and merger.pending() == [point.label for point in make_plan().points]
+
+    def test_corrupt_checkpoint_stays_pending(self, tmp_path):
+        plan = make_plan()
+        run_shard(plan, ShardSpec(1, 1), tmp_path, max_workers=1)
+        point_checkpoint_path(tmp_path, 2).write_bytes(b"torn")
+        merger = IncrementalMerger(tmp_path, make_plan())
+        assert merger.poll() == [plan.points[i].label for i in (0, 1, 3)]
+        assert "unreadable checkpoint" in merger.last_error
+        assert merger.pending() == [plan.points[2].label]
 
 
 # ------------------------------------------------------------- live service
@@ -296,9 +298,10 @@ class TestServe:
         self, tmp_path, monkeypatch, server_factory
     ):
         plan = make_plan()
+        clock = LeaseClock(monkeypatch)
         restore = kill_after(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
-            run_work_stealing(plan, tmp_path, worker="victim", max_workers=1, lease_ttl=0.05)
+            run_work_stealing(plan, tmp_path, worker="victim", max_workers=1, lease_ttl=5.0)
         restore()
         done_points = [
             index
@@ -310,7 +313,7 @@ class TestServe:
         port = server_factory(tmp_path, make_plan())
         code, status = get_json(port, "/status")
         assert code == 200
-        assert status["mode"] == "steal"
+        assert "error" not in status
         assert status["done"] == 2 and status["points_total"] == 4
         assert status["telemetry"]["counters"]["points_computed"] == 2
 
@@ -330,8 +333,8 @@ class TestServe:
         assert aggregate["complete"] is False and aggregate["folded"] == 2
         # The partial aggregate is bit-identical to the batch merge of the
         # finished run: finish the directory, merge it, compare per label.
-        time.sleep(0.2)  # let the victim's abandoned lease expire
-        run_work_stealing(make_plan(), tmp_path, worker="finisher", max_workers=1, lease_ttl=0.05)
+        clock.advance(15.0)  # the victim's abandoned lease expires
+        run_work_stealing(make_plan(), tmp_path, worker="finisher", max_workers=1, lease_ttl=5.0)
         reference = merge_stolen(tmp_path, make_plan())
         for index in done_points:
             label = plan.points[index].label
@@ -362,14 +365,26 @@ class TestServe:
     def test_empty_directory_reports_no_artifacts(self, tmp_path, server_factory):
         port = server_factory(tmp_path / "fresh")
         code, status = get_json(port, "/status")
-        assert code == 200 and status["mode"] is None
+        assert code == 200 and "no sweep artifacts" in status["error"]
+
+    def test_old_static_directory_is_refused_by_name(self, tmp_path, server_factory, capsys):
+        from repro.cli import main
+
+        (tmp_path / "shard-1of1.json").write_text(json.dumps({"version": 3}))
+        port = server_factory(tmp_path)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"http://127.0.0.1:{port}/status", timeout=10)
+        assert excinfo.value.code == 500
+        assert "shard-1of1.json is a static shard manifest" in excinfo.value.read().decode()
+        assert main(["serve", "--out", str(tmp_path), "--port", "0"]) == 2
+        assert "shard-1of1.json is a static shard manifest" in capsys.readouterr().err
 
     def test_static_directory_is_served_too(self, tmp_path):
         plan = make_plan()
         out = _complete_static_run(tmp_path, plan, 2)
         monitor = SweepMonitor(out, make_plan())
         status = monitor.status()
-        assert status["mode"] == "static" and len(status["shards"]) == 2
+        assert status["done"] == len(plan.points) and status["workers"] == 2
         aggregate = monitor.aggregate()
         assert aggregate["complete"] is True and aggregate["folded"] == len(plan.points)
 
@@ -379,13 +394,13 @@ class TestStatusText:
     def test_render_covers_steal_directory(self, tmp_path):
         plan = make_plan()
         run_work_stealing(plan, tmp_path, worker="solo", max_workers=1)
-        text = render_status_text(tmp_path)
+        text = SweepMonitor(tmp_path).render_text()
         assert "4/4 points done" in text
         assert "worker solo" in text
         assert "points_computed=4" in text
 
     def test_render_covers_empty_directory(self, tmp_path):
-        assert "no sweep artifacts" in render_status_text(tmp_path / "nothing")
+        assert "no sweep artifacts" in SweepMonitor(tmp_path / "nothing").render_text()
 
     def test_watch_redraws_bounded_iterations(self, tmp_path):
         plan = make_plan()
@@ -436,9 +451,7 @@ class TestWaitPolling:
             )
             task = scheduler._task(0, lease)
             summaries = coordinator.execute_point(plan, task, max_workers=1)
-            distributed._write_checkpoint(
-                task.checkpoint, plan, coordinator._WHOLE, 0, summaries
-            )
+            distributed._write_checkpoint(point_checkpoint_path(tmp_path, 0), plan, 0, summaries)
 
         landing = threading.Thread(target=land_checkpoint)
         landing.start()
@@ -468,9 +481,7 @@ class TestWaitPolling:
             if not landed:
                 task = scheduler._task(0, lease)
                 summaries = coordinator.execute_point(plan, task, max_workers=1)
-                distributed._write_checkpoint(
-                    task.checkpoint, plan, coordinator._WHOLE, 0, summaries
-                )
+                distributed._write_checkpoint(point_checkpoint_path(tmp_path, 0), plan, 0, summaries)
                 landed.append(0)
             return real_outstanding(scheduler)
 
