@@ -23,6 +23,10 @@
 #                           kill a worker mid-sweep, drive every serve
 #                           endpoint over HTTP, finish, verify bit-identity
 #   make linkcheck        - verify relative links in README.md / docs / READMEs
+#   make perf-check       - perfbench self-checks: every workload's result digest
+#                           at the recorded seed against perfbench/digests.json,
+#                           then a held-out seed (untraced vs traced digests and
+#                           work counts must agree)
 
 PYTHON ?= python
 # Every entry point (pytest, scripts, examples) runs through PY_RUN so local
@@ -35,7 +39,7 @@ BENCH_ARGS ?=
 # was raised to 89 with the empirical-delay/e11 suite).
 COV_FLOOR ?= 89
 
-.PHONY: test bench-smoke bench bench-trajectory coverage lint examples-smoke search-smoke serve-smoke linkcheck
+.PHONY: test bench-smoke bench bench-trajectory coverage lint examples-smoke search-smoke serve-smoke linkcheck perf-check
 # Knobs for `make search-smoke` (see docs/adversary.md).
 SEARCH_BUDGET ?= 200
 SEARCH_TIME ?= 60
@@ -86,3 +90,7 @@ serve-smoke:
 
 linkcheck:
 	$(PY_RUN) scripts/check_markdown_links.py
+
+perf-check:
+	$(PYTHON) perfbench/check.py digests
+	$(PYTHON) perfbench/check.py heldout --seed 2000

@@ -43,6 +43,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..sim.context import ProbeMailbox
 from ..sim.events import Event, MessageDelivery
 from ..sim.process import ProcessState
 from .faults import (
@@ -330,9 +331,10 @@ class AdaptiveAdversary(Adversary):
         """Whether delivering ``event`` now would complete a pending wait.
 
         A pure probe: the receiver's wait predicate is evaluated against
-        its current mailbox and against a copy with this message appended;
-        neither call mutates anything (predicates are required to be pure
-        -- the kernel itself re-evaluates them freely).
+        its current mailbox and against a read-only view of it with this
+        message appended; neither call changes any later answer
+        (predicates are required to be pure -- the kernel itself
+        re-evaluates them freely).
         """
         proc = self._kernel.process(event.pid)
         if proc.paused or proc.state is not ProcessState.BLOCKED:
@@ -343,7 +345,7 @@ class AdaptiveAdversary(Adversary):
         mailbox = proc.mailbox
         if predicate(mailbox) is not None:
             return False
-        return predicate(list(mailbox) + [event.message]) is not None
+        return predicate(ProbeMailbox(mailbox, event.message)) is not None
 
     def _carries_leading_est(self, payload) -> bool:
         """Whether ``payload`` carries the unique leading estimate so far."""

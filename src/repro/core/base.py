@@ -8,8 +8,8 @@ class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 from ..cluster.topology import ClusterTopology
 from ..coins.common import CommonCoin
@@ -91,6 +91,10 @@ class ProcessEnvironment:
     ``memory`` is the shared memory of the process's cluster (``None`` for
     the pure message-passing baselines), and the coins are per-process /
     global randomness sources as defined in Section II-B.
+
+    ``quorum_indexes`` holds the process's
+    :class:`~repro.core.pattern.QuorumIndex` per attribution mode
+    (``expand_clusters`` True or False); ``msg_exchange`` fills it.
     """
 
     pid: int
@@ -99,6 +103,9 @@ class ProcessEnvironment:
     memory: Optional[ClusterSharedMemory] = None
     local_coin: Optional[LocalCoin] = None
     common_coin: Optional[CommonCoin] = None
+    quorum_indexes: Dict[bool, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.proposal = validate_proposal(self.proposal)

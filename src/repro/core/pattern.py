@@ -12,6 +12,11 @@ two members of a cluster broadcast different values in the same phase
 The pattern also watches for ``DECIDE`` messages so that a process whose
 peers have already decided (and stopped sending phase messages) cannot block
 forever.
+
+:func:`scan_mailbox` is the reference reading of a mailbox.  The wait
+itself is answered by a :class:`QuorumIndex`, which files each delivered
+message once instead of rescanning the append-only mailbox on every
+delivery, and must answer every query exactly as the scan would.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Optional, Sequence
 
 from ..adversary.faults import TamperedPayload
+from ..sim.context import ProbeMailbox
 from .base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
 
 
@@ -120,6 +126,139 @@ def scan_mailbox(
     )
 
 
+class _Bucket:
+    """The messages one process has received for one ``(tag, round, phase)``.
+
+    ``heard`` counts toward the majority as messages arrive; the outcome is
+    built only on a hit, by :func:`scan_mailbox` over ``messages``.  Those
+    are exactly the mailbox's messages for the key, in mailbox order, so
+    the outcome comes out identical to a scan of the whole mailbox.
+    """
+
+    __slots__ = ("heard", "messages")
+
+    def __init__(self) -> None:
+        self.heard: set = set()
+        self.messages: list = []
+
+
+#: Marks a key whose wait has returned: its bucket is gone for good.
+_RETIRED = _Bucket()
+
+
+class QuorumIndex:
+    """Incremental ``msg_exchange`` state of one process's live mailbox.
+
+    Each :meth:`answer` first files the messages appended since the last
+    call into per-``(tag, round, phase)`` buckets and records the first
+    ``DECIDE`` message per tag, so over a run every delivered message is
+    examined once (``folded`` counts them).  A miss then costs one bucket
+    lookup and a length test; the :class:`ExchangeOutcome` is built only on
+    a hit.  A hit retires its key -- the wait it answered is over -- so its
+    bucket is dropped and later messages for it are not filed.
+
+    Every answer is what :func:`scan_mailbox` gives on the sequence passed
+    in when that ends the wait (a decide, or a strict majority heard), and
+    ``None`` otherwise.  Any sequence other than the bound live mailbox,
+    and any retired key, gets the scan itself; a
+    :class:`~repro.sim.context.ProbeMailbox` over the live mailbox is
+    answered from the bucket plus the one extra message, without filing it.
+    """
+
+    __slots__ = ("mailbox", "env", "expand_clusters", "folded", "_quorum", "_buckets", "_decides")
+
+    def __init__(self, mailbox: Sequence[Any], env: ProcessEnvironment, expand_clusters: bool) -> None:
+        self.mailbox = mailbox
+        self.env = env
+        self.expand_clusters = expand_clusters
+        self.folded = 0
+        self._quorum = env.topology.majority_threshold()
+        self._buckets: Dict[tuple, _Bucket] = {}
+        #: tag -> the first DECIDE message for it in the mailbox.
+        self._decides: Dict[str, Any] = {}
+
+    def fold(self) -> None:
+        """File every message appended to the live mailbox since the last call."""
+        new = self.mailbox[self.folded :]
+        self.folded += len(new)
+        buckets = self._buckets
+        expand = self.expand_clusters
+        cluster_of = self.env.topology.cluster_of
+        for message in new:
+            payload = message.payload
+            # A TamperedPayload is neither kind, so a message that failed
+            # authentication is dropped exactly as scan_mailbox drops it.
+            if isinstance(payload, PhaseMessage):
+                key = (payload.tag, payload.round_number, payload.phase)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = _Bucket()
+                elif bucket is _RETIRED:
+                    continue
+                sender = message.sender
+                bucket.heard.update(cluster_of(sender) if expand else (sender,))
+                bucket.messages.append(message)
+            elif isinstance(payload, DecideMessage):
+                self._decides.setdefault(payload.tag, message)
+
+    def answer(self, mailbox: Sequence[Any], key: tuple) -> Optional[ExchangeOutcome]:
+        """The ``msg_exchange`` wait answer for ``key`` on ``mailbox``."""
+        live = self.mailbox
+        buckets = self._buckets
+        if mailbox is live:
+            if len(live) > self.folded:
+                self.fold()
+            bucket = buckets.get(key)
+            if bucket is not _RETIRED:
+                if key[0] not in self._decides and (bucket is None or len(bucket.heard) < self._quorum):
+                    return None
+                buckets[key] = _RETIRED
+                return self._outcome(key, bucket.messages if bucket is not None else ())
+        elif type(mailbox) is ProbeMailbox and mailbox.base is live and buckets.get(key) is not _RETIRED:
+            return self._probe(mailbox.extra, key)
+        return self._scan(mailbox, key)
+
+    def _probe(self, message: Any, key: tuple) -> Optional[ExchangeOutcome]:
+        """The answer with ``message`` appended, leaving the index as it was."""
+        if len(self.mailbox) > self.folded:
+            self.fold()
+        bucket = self._buckets.get(key)
+        heard = bucket.heard if bucket is not None else ()
+        messages = bucket.messages if bucket is not None else ()
+        payload = message.payload
+        if key[0] in self._decides:
+            return self._outcome(key, messages)
+        if isinstance(payload, DecideMessage) and payload.tag == key[0]:
+            return self._outcome(key, [message])
+        if isinstance(payload, PhaseMessage) and (
+            payload.tag,
+            payload.round_number,
+            payload.phase,
+        ) == key:
+            sender = message.sender
+            members = self.env.topology.cluster_of(sender) if self.expand_clusters else (sender,)
+            if len(heard) + sum(1 for pid in members if pid not in heard) < self._quorum:
+                return None
+            return self._outcome(key, [*messages, message])
+        if len(heard) < self._quorum:
+            return None
+        return self._outcome(key, messages)
+
+    def _outcome(self, key: tuple, messages: Sequence[Any]) -> ExchangeOutcome:
+        """The outcome of a complete wait: a scan of the tag's first DECIDE, else of ``messages``."""
+        decide = self._decides.get(key[0])
+        return scan_mailbox(
+            messages if decide is None else [decide], self.env, *key, self.expand_clusters
+        )
+
+    def _scan(self, mailbox: Sequence[Any], key: tuple) -> Optional[ExchangeOutcome]:
+        """The reference answer: :func:`scan_mailbox`, if it ends the wait."""
+        outcome = scan_mailbox(mailbox, self.env, *key, self.expand_clusters)
+        if outcome.is_decide or self.env.topology.is_majority(len(outcome.heard)):
+            return outcome
+        return None
+
+
 def msg_exchange(
     ctx,
     env: ProcessEnvironment,
@@ -135,20 +274,21 @@ def msg_exchange(
     message for this instance arrives or the processes heard from (with
     cluster attribution, unless ``expand_clusters`` is ``False``) form a
     strict majority.  Returns the corresponding :class:`ExchangeOutcome`.
+    The wait is answered by the process's :class:`QuorumIndex` over
+    ``ctx.mailbox``.
     """
     if est not in (0, 1, BOT):
         raise ValueError(f"est must be 0, 1 or ⊥, got {est!r}")
     yield from ctx.broadcast(PhaseMessage(tag=tag, round_number=round_number, phase=phase, est=est))
 
-    topology = env.topology
+    mailbox = ctx.mailbox
+    index = env.quorum_indexes.get(expand_clusters)
+    if index is None or index.mailbox is not mailbox:
+        index = env.quorum_indexes[expand_clusters] = QuorumIndex(mailbox, env, expand_clusters)
+    key = (tag, round_number, phase)
 
     def predicate(mailbox: Sequence[Any]) -> Optional[ExchangeOutcome]:
-        outcome = scan_mailbox(mailbox, env, tag, round_number, phase, expand_clusters)
-        if outcome.is_decide:
-            return outcome
-        if topology.is_majority(len(outcome.heard)):
-            return outcome
-        return None
+        return index.answer(mailbox, key)
 
     outcome = yield from ctx.wait_until(predicate)
     return outcome

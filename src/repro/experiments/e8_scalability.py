@@ -137,10 +137,11 @@ def run(
 LARGE_SIZES = (256, 512, 1024, 2048)
 
 #: Largest n that still gets the multi-cluster layout.  Splitting n processes
-#: over m clusters multiplies the message volume and the per-mailbox wait
-#: scans, so multi-cluster points cost roughly an order of magnitude more
-#: wall clock than m=1 at equal n (measured: n=512/m=2 takes ~84s per run vs
-#: ~3s for n=512/m=1); above this bound only the single-cluster extreme runs.
+#: over m clusters multiplies the message volume, and with it the work of
+#: every wait, so multi-cluster points cost roughly an order of magnitude more
+#: wall clock than m=1 at equal n (measured while waits still rescanned the
+#: mailbox: n=512/m=2 took ~84s per run vs ~3s for n=512/m=1); above this
+#: bound only the single-cluster extreme runs.
 LARGE_MULTI_CLUSTER_MAX_N = 256
 
 LARGE_PAPER_CLAIM = (

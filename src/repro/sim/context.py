@@ -21,6 +21,7 @@ no per-instance dict exists.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 
@@ -50,6 +51,13 @@ class WaitEffect(Effect):
     :class:`~repro.network.message.Message` objects, oldest first) and must
     return ``None`` while unsatisfied.  Its first non-``None`` return value
     becomes the result of the wait.
+
+    A predicate must be a pure function of the sequence it is given: the
+    kernel re-evaluates it after every delivery, and the adaptive
+    adversary also calls it on a :class:`ProbeMailbox` to ask whether a
+    delivery would complete the wait.  It may keep a cache keyed on the
+    live mailbox (see :class:`repro.core.pattern.QuorumIndex`) as long as
+    every call answers exactly as a fresh evaluation would.
     """
 
     __slots__ = ("predicate",)
@@ -59,6 +67,42 @@ class WaitEffect(Effect):
 
     def __repr__(self) -> str:
         return f"WaitEffect(predicate={self.predicate!r})"
+
+
+class ProbeMailbox(SequenceABC):
+    """A read-only view of a live mailbox with one more message appended.
+
+    The adaptive adversary's pivotality probe evaluates a wait predicate
+    on "the mailbox as it would be after this delivery" without copying
+    it.  Any predicate sees an ordinary sequence; one that caches per live
+    mailbox can recognise the view by its ``base`` and answer for the
+    extra message alone.
+    """
+
+    __slots__ = ("base", "extra")
+
+    def __init__(self, base: Sequence[Any], extra: Any) -> None:
+        self.base = base
+        self.extra = extra
+
+    def __len__(self) -> int:
+        return len(self.base) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        size = len(self.base)
+        if index < 0:
+            index += size + 1
+        if index == size:
+            return self.extra
+        if not 0 <= index < size:
+            raise IndexError("mailbox index out of range")
+        return self.base[index]
+
+    def __iter__(self):
+        yield from self.base
+        yield self.extra
 
 
 class SharedMemEffect(Effect):
@@ -168,6 +212,17 @@ class ProcessContext:
     def random(self):
         """The process-local random stream (used for local coins)."""
         return self._kernel.rng.stream("process", self.pid)
+
+    @property
+    def mailbox(self) -> Sequence[Any]:
+        """The live mailbox: every message delivered so far, oldest first.
+
+        The kernel only ever appends to it; callers must not mutate it.
+        It is the very sequence the kernel passes to wait predicates, so a
+        predicate can tell the live mailbox from any other sequence by
+        identity.
+        """
+        return self._kernel.process(self.pid).mailbox
 
     # --------------------------------------------------------------- effects
     def send(self, dest: int, payload: Any):

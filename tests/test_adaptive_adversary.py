@@ -42,8 +42,14 @@ from repro.adversary.faults import (
 )
 from repro.adversary.scenario import Adversary, Scenario
 from repro.cluster.topology import ClusterTopology
-from repro.core.base import BOT, PhaseMessage, ProcessEnvironment, ProtocolInvariantError
-from repro.core.pattern import scan_mailbox
+from repro.core.base import (
+    BOT,
+    DecideMessage,
+    PhaseMessage,
+    ProcessEnvironment,
+    ProtocolInvariantError,
+)
+from repro.core.pattern import QuorumIndex, scan_mailbox
 from repro.experiments import e10_adaptive
 from repro.experiments.common import default_seeds
 from repro.harness.coordinator import merge_stolen
@@ -225,6 +231,35 @@ def test_delay_pivotal_releases_after_its_deferral_budget():
     # Budget exhausted: the delivery is released, so liveness is preserved.
     assert adversary.defer(event, 4.0) == 0.0
     assert [entry[2] for entry in adversary.deferral_log] == ["defer", "defer"]
+
+
+def test_delay_pivotal_probe_leaves_the_quorum_index_unchanged():
+    """The probe reads the wait's index through a view and files nothing."""
+    env = ProcessEnvironment(pid=1, proposal=0, topology=ClusterTopology.even_split(5, 5))
+    key = ("t", 1, 1)
+    live = [_phase_msg(0, est=1), _phase_msg(2, est=0)]
+    index = QuorumIndex(live, env, True)
+    never_probed = QuorumIndex(live, env, True)
+    receiver = _FakeProcess(mailbox=live, predicate=lambda mailbox: index.answer(mailbox, key))
+    adversary = _adaptive(
+        Scenario("t", (DelayPivotal(extra_delay=3.0, max_deferrals=8),)),
+        _FakeKernel({1: receiver}),
+    )
+    good = _phase_msg(3, est=1)
+    tampered = make_message(3, TamperedPayload(original=good.payload, mutated=mutate_payload(good.payload)))
+    decide = make_message(4, DecideMessage(tag="t", value=1))
+    # A third distinct sender makes a majority of five, and a DECIDE for the
+    # wait's tag ends it too; a repeated sender or a tampered copy does not.
+    for message, pivotal in ((good, True), (decide, True), (live[0], False), (tampered, False)):
+        assert (adversary.defer(MessageDelivery(pid=1, message=message), 0.0) == 3.0) is pivotal
+    assert index.folded == len(live)
+
+    for message, completes in ((tampered, False), (live[0], False), (good, True)):
+        live.append(message)
+        answer = index.answer(live, key)
+        assert answer == never_probed.answer(live, key)
+        assert (answer is not None) is completes
+    assert answer.heard == frozenset({0, 2, 3})
 
 
 def test_target_coin_attacks_only_the_unique_leading_estimate():

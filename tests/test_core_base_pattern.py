@@ -1,4 +1,4 @@
-"""Unit tests for the core definitions and the msg_exchange scan logic."""
+"""Unit tests for the core definitions and the msg_exchange scan and index logic."""
 
 import pytest
 
@@ -12,7 +12,9 @@ from repro.core.base import (
     ProcessEnvironment,
     validate_proposal,
 )
-from repro.core.pattern import ExchangeOutcome, scan_mailbox
+from repro.core import pattern
+from repro.core.pattern import ExchangeOutcome, QuorumIndex, scan_mailbox
+from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.sharedmem.memory import ClusterSharedMemory
 
 
@@ -156,3 +158,46 @@ def test_exchange_outcome_helpers():
     assert outcome.supporters_of(0) == frozenset()
     decide = ExchangeOutcome(kind="decide", round_number=1, phase=1, decide_value=1)
     assert decide.is_decide
+
+
+# ------------------------------------------------------------------ quorum index
+def test_quorum_index_folds_each_delivery_once_per_process(monkeypatch):
+    """A full run examines every delivered message once, and never rescans it.
+
+    A wait answered by rescanning the mailbox makes each process's cost
+    quadratic in its mailbox size; this pins the linear behaviour in tier-1.
+    """
+    indexes = []
+    scans = []
+    index_init = QuorumIndex.__init__
+    reference_scan = pattern.scan_mailbox
+
+    def recording_init(self, *args):
+        index_init(self, *args)
+        indexes.append(self)
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return reference_scan(*args, **kwargs)
+
+    monkeypatch.setattr(QuorumIndex, "__init__", recording_init)
+    monkeypatch.setattr(pattern, "scan_mailbox", counting_scan)
+    config = ExperimentConfig(topology=ClusterTopology.even_split(8, 8), seed=1000)
+    result = run_consensus(config)
+    result.report.raise_on_violation()
+    assert result.decided_value is not None
+
+    assert sorted(index.env.pid for index in indexes) == list(range(8))
+    # At least four exchanges' worth of broadcasts reached some process.
+    assert max(len(index.mailbox) for index in indexes) >= 4 * 8
+    for index in indexes:
+        # Deliveries after the process's last wait have not been filed yet.
+        assert index.folded <= len(index.mailbox)
+        index.fold()
+        assert index.folded == len(index.mailbox)
+    # A hit builds its outcome from its own bucket, and each bucket once: no
+    # scan sees a whole mailbox, and all scans together see each delivered
+    # message at most once.
+    mailboxes = [index.mailbox for index in indexes]
+    assert not any(args[0] is mailbox for args in scans for mailbox in mailboxes)
+    assert 0 < sum(len(args[0]) for args in scans) <= sum(index.folded for index in indexes)

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from tests.helpers import SyncContext, drive, make_message
 
+from repro.adversary.faults import TamperedPayload
 from repro.cluster.failures import FailurePattern
 from repro.cluster.topology import ClusterTopology
-from repro.core.base import BOT, PhaseMessage, ProcessEnvironment
-from repro.core.pattern import scan_mailbox
+from repro.core.base import BOT, DecideMessage, PhaseMessage, ProcessEnvironment
+from repro.core.pattern import QuorumIndex, scan_mailbox
 from repro.harness.runner import ExperimentConfig, run_consensus
 from repro.harness.stats import percentile, summarize
 from repro.sharedmem.consensus_object import CASConsensusObject, LLSCConsensusObject
+from repro.sim.context import ProbeMailbox
 from repro.sim.rng import RandomSource
 
 
@@ -149,6 +151,70 @@ def test_scan_mailbox_supporters_are_unions_of_clusters(clusters, raw_messages):
     # At most one binary value can hold a strict majority.
     majorities = [v for v in (0, 1) if topology.is_majority(len(outcome.supporters_of(v)))]
     assert len(majorities) <= 1
+
+
+#: The (tag, round, phase) instances the quorum-index test draws from and queries.
+_INDEX_KEYS = [(tag, r, ph) for tag in ("t", "u") for r in (1, 2) for ph in (1, 2)]
+
+
+@st.composite
+def mailbox_entries(draw, n):
+    """One delivered message: a phase message, a duplicate, a tampered or a decide."""
+    kind = draw(st.sampled_from(["phase", "phase", "phase", "duplicate", "tampered", "decide"]))
+    sender = draw(st.integers(min_value=0, max_value=n - 1))
+    if kind == "decide":
+        decide = DecideMessage(tag=draw(st.sampled_from(["t", "u"])), value=draw(st.sampled_from([0, 1])))
+        return kind, make_message(sender, decide)
+    tag, round_number, phase = draw(st.sampled_from(_INDEX_KEYS))
+    payload = PhaseMessage(tag, round_number, phase, draw(st.sampled_from([0, 1, BOT])))
+    if kind == "tampered":
+        payload = TamperedPayload(original=payload, mutated=payload)
+    return kind, make_message(sender, payload)
+
+
+def _scan_answer(mailbox, env, key, expand_clusters):
+    """The reference answer of a ``msg_exchange`` wait: the scan, if complete."""
+    outcome = scan_mailbox(mailbox, env, *key, expand_clusters=expand_clusters)
+    if outcome.is_decide or env.topology.is_majority(len(outcome.heard)):
+        return outcome
+    return None
+
+
+@given(partitions(max_n=7), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_quorum_index_answers_exactly_like_the_scan(clusters, data):
+    topology = ClusterTopology(clusters)
+    env = ProcessEnvironment(pid=0, proposal=0, topology=topology)
+    entries = data.draw(st.lists(mailbox_entries(topology.n), max_size=24))
+    live = []
+    # ``probed`` also answers foreign sequences and probes; ``plain`` only
+    # ever sees the live mailbox.  Both must answer every query like the scan.
+    probed = {expand: QuorumIndex(live, env, expand) for expand in (True, False)}
+    plain = {expand: QuorumIndex(live, env, expand) for expand in (True, False)}
+    for kind, message in entries:
+        if kind == "duplicate" and live:
+            message = live[data.draw(st.integers(min_value=0, max_value=len(live) - 1))]
+        live.append(message)
+        extra = data.draw(mailbox_entries(topology.n))[1]
+        # Waits start at different times: a key first queried late must see
+        # everything filed before, e.g. the first of several DECIDEs.
+        keys = data.draw(st.lists(st.sampled_from(_INDEX_KEYS), max_size=4, unique=True))
+        for expand in (True, False):
+            for key in keys:
+                for other in (list(live), live[:-1], [message, extra]):
+                    assert probed[expand].answer(other, key) == _scan_answer(other, env, key, expand)
+                view = ProbeMailbox(live, extra)
+                assert probed[expand].answer(view, key) == _scan_answer(list(view), env, key, expand)
+                expected = _scan_answer(live, env, key, expand)
+                # A hit retires the key: from then on the index must fall back
+                # to the scan, so the same expected answer still holds.
+                assert probed[expand].answer(live, key) == expected
+                assert plain[expand].answer(live, key) == expected
+                assert probed[expand].folded == plain[expand].folded == len(live)
+    for expand in (True, False):
+        for key in _INDEX_KEYS:
+            expected = _scan_answer(live, env, key, expand)
+            assert probed[expand].answer(live, key) == plain[expand].answer(live, key) == expected
 
 
 # -------------------------------------------------------------- consensus objects
