@@ -92,5 +92,5 @@ linkcheck:
 	$(PY_RUN) scripts/check_markdown_links.py
 
 perf-check:
-	$(PYTHON) perfbench/check.py digests
-	$(PYTHON) perfbench/check.py heldout --seed 2000
+	$(PY_RUN) perfbench/check.py digests
+	$(PY_RUN) perfbench/check.py heldout --seed 2000
